@@ -1,8 +1,11 @@
 """Command-line front end: generate, inspect, simulate, evaluate, report.
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or validation
-error, 3 enumeration over the configured limit.  All outputs are
-byte-reproducible for identical flags and seeds.
+error, 3 enumeration over the configured limit.  Exact evaluation is a
+closed form, so no subcommand enumerates demand vectors except the
+partition oracle inside ``report``, which leaves its cell empty instead
+of failing; exit 3 is kept for ``TooLargeError`` reaching the top level.
+All outputs are byte-reproducible for identical flags and seeds.
 """
 
 from __future__ import annotations
@@ -167,26 +170,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_rows(doc, tree, model, args) -> list[dict]:
+def _evaluate_rows(doc, tree, model) -> list[dict]:
     rows = []
     for policy in POLICIES:
-        try:
-            report = evaluate(tree, model, policy=policy, mode=EXACT, instance_id=doc.name)
-        except TooLargeError:
-            report = evaluate(
-                tree,
-                model,
-                policy=policy,
-                mode=MONTE_CARLO,
-                samples=args.samples,
-                master_seed=args.seed,
-                instance_id=doc.name,
-            )
+        report = evaluate(tree, model, policy=policy, mode=EXACT, instance_id=doc.name)
         row = _report_payload(report)
-        row.pop("estimate", None)
         # The per-realization optimum is unsplit-shaped, so its partition
         # oracle bounds only the unsplit policy; the edge bound holds for
-        # both.
+        # both.  Only the partition oracle enumerates, and an instance
+        # over the enumeration limit leaves its cell empty.
         if policy == UNSPLIT and tree.n_customers <= PARTITION_MAX_CUSTOMERS:
             clair_mode = PARTITION
         else:
@@ -236,7 +228,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             text = path.read_text(encoding="utf-8")
             doc = parse_document(text)
             tree, model = document_to_instance(doc)
-            rows.extend(_evaluate_rows(doc, tree, model, args))
+            rows.extend(_evaluate_rows(doc, tree, model))
         except (ValidationError, TooLargeError, OSError) as exc:
             failures.append((path.name, str(exc)))
     rows.sort(key=lambda row: (row["instance"], row["policy"]))
@@ -295,7 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0, help="seed when demands are drawn")
     simulate.set_defaults(handler=_cmd_simulate)
 
-    ev = sub.add_parser("evaluate", help="expected cost, bounds, and ratio for one instance")
+    ev = sub.add_parser(
+        "evaluate",
+        help="expected cost, bounds, and ratio for one instance",
+        description="Expected cost, bounds, and ratio for one instance. "
+        "--mode exact is an O(n) closed form with no size limit; "
+        "--mode mc is a seeded Monte Carlo estimate with a 95% interval.",
+    )
     ev.add_argument("--instance", required=True, help="instance document path")
     ev.add_argument("--policy", choices=POLICIES, required=True)
     ev.add_argument("--mode", choices=(EXACT, "mc", MONTE_CARLO), default=EXACT)
@@ -304,12 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--format", choices=("json", "csv"), default="json")
     ev.set_defaults(handler=_cmd_evaluate)
 
-    report = sub.add_parser("report", help="evaluate a corpus directory into CSV")
+    report = sub.add_parser(
+        "report",
+        help="evaluate a corpus directory into CSV",
+        description="Evaluate every *.json in a directory exactly (closed form) into CSV, "
+        "with the expected clairvoyant bound: partition oracle for unsplit up to "
+        f"{PARTITION_MAX_CUSTOMERS} customers, edge bound otherwise.",
+    )
     report.add_argument("--corpus-dir", required=True)
     report.add_argument("--out-csv", required=True)
     report.add_argument("--out-plot", default=None, help="histogram CSV (default: <out-csv>.plot.csv)")
-    report.add_argument("--samples", type=int, default=10_000, help="Monte Carlo fallback sample count")
-    report.add_argument("--seed", type=int, default=0)
+    report.add_argument("--samples", type=int, default=10_000, help="unused; accepted for compatibility")
+    report.add_argument("--seed", type=int, default=0, help="unused; accepted for compatibility")
     report.set_defaults(handler=_cmd_report)
 
     return parser

@@ -4,8 +4,9 @@ Each customer's demand is an independent random variable on {1..Q}
 described by an explicit probability mass function.  Zero demand is
 rejected outright: a customer that might need nothing would not belong
 to the instance.  The module supports exact expectations, inverse-CDF
-sampling, and exhaustive enumeration of the joint demand space for
-exact expected-cost computation.
+sampling, and exhaustive enumeration of the joint demand space for the
+oracles that truly need every demand vector (the partition oracle and
+the trace-certificate diagnostic).
 """
 
 from __future__ import annotations
@@ -29,10 +30,25 @@ from .errors import (
 
 NORMALIZATION_TOL = 1e-12
 
-# Joint enumeration is capped to keep exact evaluation interactive; the
-# TREEVRPSD_ENUM_LIMIT environment variable overrides the default.
+# Joint enumeration is capped to keep the enumerating oracles
+# interactive; the TREEVRPSD_ENUM_LIMIT environment variable overrides
+# the default.
 DEFAULT_ENUM_LIMIT = 10**6
 ENUM_LIMIT_ENV = "TREEVRPSD_ENUM_LIMIT"
+
+# Counts above this are printed as a power of ten, not digit by digit.
+EXACT_COUNT_MAX = 10**12
+
+
+def format_count(count: int) -> str:
+    """Render a count for messages: in full up to 10^12, else ``about 10^k``.
+
+    Joint support sizes grow as a product over customers and can run to
+    thousands of digits; k is the nearest integer to log10(count).
+    """
+    if count <= EXACT_COUNT_MAX:
+        return str(count)
+    return f"about 10^{round(math.log10(count))}"
 
 
 def resolve_enum_limit(explicit: int | None = None) -> int:
@@ -190,8 +206,8 @@ def enumerate_joint(
     size = joint_support_size(model)
     if size > cap:
         raise TooLargeError(
-            f"joint demand support has {size} vectors, over the limit {cap}; "
-            f"use Monte Carlo estimation instead"
+            f"joint demand support has {format_count(size)} vectors, "
+            f"over the limit {format_count(cap)}"
         )
 
     def generate() -> Iterator[tuple[tuple[int, ...], float]]:

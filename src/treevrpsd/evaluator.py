@@ -1,10 +1,17 @@
 """Exact and Monte Carlo expected policy cost, plus ratio reports.
 
-Exact mode enumerates every joint demand vector and averages the walk
-cost over all Q initial loads; the accumulation uses ``math.fsum`` so
-up to 10^6 terms of mixed magnitude do not lose mass.  Monte Carlo mode
-draws independent replications, each from a private generator seeded by
-a pure function of (master seed, replication index), so estimates are
+Exact mode is a closed form in O(n).  Under both policies the stock on
+arrival at the next stop is ``((U - D - 1) mod Q) + 1``, a shift of the
+stock U on arrival at the current stop by an amount that depends only
+on the current demand D.  With the initial load uniform on {1..Q} and
+independent of the demands, the stock on arrival at every customer is
+therefore uniform on {1..Q} and independent of that customer's demand:
+customer i is an exact breakpoint with probability 1/Q and a deficit
+breakpoint with probability (E[D_i] - 1)/Q.  The expected cost is the
+walk base plus those probabilities times the per-position detours of
+:class:`~treevrpsd.policy.WalkGeometry`.  Monte Carlo mode draws
+independent replications, each from a private generator seeded by a
+pure function of (master seed, replication index), so estimates are
 reproducible bit for bit and replications could run in any order.
 """
 
@@ -18,13 +25,15 @@ from .demand import (
     DemandModel,
     Realization,
     enumerate_joint,
+    expectation,
+    format_count,
     joint_support_size,
     replication_rng,
     resolve_enum_limit,
     sample_realization,
 )
 from .errors import BadParamsError, TooLargeError
-from .policy import POLICIES, SPLIT, WalkGeometry, run_split, run_unsplit
+from .policy import POLICIES, SPLIT, UNSPLIT, WalkGeometry, run_split, run_unsplit
 from .tree import TreeInstance, VisitOrder, dfs_order
 
 EXACT = "exact"
@@ -71,31 +80,26 @@ def exact_expected_cost(
     model: DemandModel,
     policy: str,
     order: VisitOrder | None = None,
-    limit: int | None = None,
 ) -> float:
-    """Exact expectation over all joint demand vectors and initial loads.
+    """Exact expectation over the demands and the uniform initial load.
 
-    The enumeration has (product of support sizes) * Q terms and must
-    stay within the configured limit, otherwise ``TooLargeError`` asks
-    the caller to fall back to Monte Carlo.
+    ``base_length + sum_i [reroute_extra_i / Q
+    + (E[D_i] - 1)/Q * m_i * round_trip_i]``, where the deficit
+    multiplier m_i is 1 for split and, for unsplit, 2 except 1 at the
+    last stop.  Linear in the number of customers; nothing is
+    enumerated, so there is no size limit.
     """
     _check_policy(policy)
-    cap = resolve_enum_limit(limit)
-    capacity = tree.capacity
-    size = joint_support_size(model) * capacity
-    if size > cap:
-        raise TooLargeError(
-            f"exact evaluation needs {size} walk simulations, over the limit {cap}; "
-            f"use Monte Carlo estimation instead"
-        )
     geometry = WalkGeometry(tree, dfs_order(tree) if order is None else order)
-    cost = geometry.split_cost if policy == SPLIT else geometry.unsplit_cost
-    loads = range(1, capacity + 1)
-    total = math.fsum(
-        prob * math.fsum(cost(q, load) for load in loads)
-        for q, prob in enumerate_joint(model, limit=cap)
-    )
-    return total / capacity
+    capacity = tree.capacity
+    final = len(geometry.demand_index) - 1
+    terms = [geometry.base_length]
+    for i, di in enumerate(geometry.demand_index):
+        multiplier = 2.0 if policy == UNSPLIT and i < final else 1.0
+        deficit_mass = expectation(model.pmfs[di]) - 1.0
+        terms.append(geometry.reroute_extra[i] / capacity)
+        terms.append(deficit_mass * multiplier * geometry.round_trip[i] / capacity)
+    return math.fsum(terms)
 
 
 def monte_carlo_cost(
@@ -143,7 +147,6 @@ def evaluate(
     master_seed: int = 0,
     instance_id: str = "",
     order: VisitOrder | None = None,
-    limit: int | None = None,
 ) -> EvalReport:
     """Assemble an :class:`EvalReport` for one (instance, policy) pair.
 
@@ -155,7 +158,7 @@ def evaluate(
     bounds = bound_set(tree, model)
     estimate = None
     if mode == EXACT:
-        expected = exact_expected_cost(tree, model, policy, order=order, limit=limit)
+        expected = exact_expected_cost(tree, model, policy, order=order)
     elif mode in (MONTE_CARLO, "mc"):
         mode = MONTE_CARLO
         estimate = monte_carlo_cost(tree, model, policy, samples, master_seed, order=order)
@@ -197,7 +200,10 @@ def expected_trace_certificate(
     capacity = tree.capacity
     size = joint_support_size(model) * capacity
     if size > cap:
-        raise TooLargeError(f"certificate enumeration needs {size} runs, over the limit {cap}")
+        raise TooLargeError(
+            f"certificate enumeration needs {format_count(size)} runs, "
+            f"over the limit {format_count(cap)}"
+        )
     seq = dfs_order(tree) if order is None else order
     run = run_split if policy == SPLIT else run_unsplit
     total = math.fsum(

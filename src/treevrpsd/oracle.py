@@ -6,8 +6,13 @@ along the minimal subtree spanning the group and the depot.  Any
 unsplit execution induces such a partition, so its cost lower-bounds
 every unsplit policy on that realization; averaging over realizations
 gives a clairvoyant bound that already knows the demands.  The cheaper
-``edge`` mode aggregates :func:`~treevrpsd.bounds.clairvoyant_edge_lb`
-instead and is valid for split deliveries as well.
+``edge`` mode is the expectation of
+:func:`~treevrpsd.bounds.clairvoyant_edge_lb`, valid for split
+deliveries as well.  It has a closed form: with D_e >= 1 the demand
+below edge e, ``ceil(D_e/Q) = (D_e + ((-D_e) mod Q)) / Q``, and the
+distribution of ``D_e mod Q`` is a cyclic convolution over Z_Q of the
+pmfs below e, built bottom-up in O(n * Q^2).  Only the partition mode
+enumerates demand vectors.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import clairvoyant_edge_lb
-from .demand import DemandModel, enumerate_joint
-from .errors import BadParamsError, TooLargeError
+from .bounds import clairvoyant_edge_lb  # noqa: F401  (re-exported: edge mode is its expectation)
+from .demand import DemandModel, enumerate_joint, expectation
+from .errors import BadParamsError, InconsistentRealizationError, TooLargeError
 from .tree import TreeInstance
 
 PARTITION_MAX_CUSTOMERS = 10
@@ -134,6 +139,48 @@ def _union_bits(path_bits: Sequence[int], group: Sequence[int]) -> int:
     return mask
 
 
+def _cyclic_convolve(a: list[float], b: list[float]) -> list[float]:
+    """Distribution of (X + Y) mod Q from those of X mod Q and Y mod Q."""
+    out = [0.0] * len(a)
+    for shift, p in enumerate(a):
+        if p:
+            rotated = b[-shift:] + b[:-shift] if shift else b
+            out = [acc + p * w for acc, w in zip(out, rotated)]
+    return out
+
+
+def _expected_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
+    """Closed-form expectation of the edge-crossing bound.
+
+    ``sum_e 2 * len_e * (E[D_e] + E[(-D_e) mod Q]) / Q``.  Vertices are
+    folded into their parents deepest first, so no recursion is needed;
+    ``max(1, .)`` never binds because every edge has a customer below.
+    """
+    n = tree.n_customers
+    if model.n_customers != n:
+        raise InconsistentRealizationError(f"{model.n_customers} demand pmfs for {n} customers")
+    capacity = tree.capacity
+    mean = [0.0] * tree.vertex_count
+    residue: list[list[float] | None] = [None] * tree.vertex_count
+    for v, pmf in enumerate(model.pmfs, 1):
+        mean[v] = expectation(pmf)
+        dist = [0.0] * capacity
+        for k, p in pmf.mass:
+            dist[k % capacity] += p
+        residue[v] = dist
+    terms = []
+    for v in sorted(range(1, tree.vertex_count), key=lambda u: -tree.depth[u]):
+        dist = residue[v]
+        shortfall = math.fsum(p * (-r % capacity) for r, p in enumerate(dist))
+        terms.append(2.0 * tree.edge_length[v] * (mean[v] + shortfall) / capacity)
+        parent = tree.parent[v]
+        if parent:
+            mean[parent] += mean[v]
+            residue[parent] = _cyclic_convolve(residue[parent], dist)
+        residue[v] = None
+    return math.fsum(terms)
+
+
 def expected_clairvoyant_lb(
     tree: TreeInstance,
     model: DemandModel,
@@ -142,19 +189,23 @@ def expected_clairvoyant_lb(
 ) -> float:
     """Expectation of a per-realization clairvoyant lower bound.
 
-    ``edge`` mode averages the edge-crossing bound and is valid for both
-    delivery policies; ``partition`` averages the optimal unsplit
-    partition cost and bounds unsplit policies only.
+    ``edge`` mode is the closed-form expectation of the edge-crossing
+    bound, valid for both delivery policies; it enumerates nothing and
+    ignores ``limit``.  ``partition`` averages the optimal unsplit
+    partition cost over every joint demand vector, bounds unsplit
+    policies only, and raises ``TooLargeError`` when the joint support
+    exceeds the enumeration limit.
     """
     if mode == EDGE:
-        lb = lambda q: clairvoyant_edge_lb(tree, q)
-    elif mode == PARTITION:
-        if tree.n_customers > PARTITION_MAX_CUSTOMERS:
-            raise TooLargeError(
-                f"partition mode supports at most {PARTITION_MAX_CUSTOMERS} customers, "
-                f"got {tree.n_customers}"
-            )
-        lb = lambda q: optimal_unsplit_partition(tree, q).cost
-    else:
+        return _expected_edge_lb(tree, model)
+    if mode != PARTITION:
         raise BadParamsError(f"mode must be 'edge' or 'partition', got {mode!r}")
-    return math.fsum(prob * lb(q) for q, prob in enumerate_joint(model, limit=limit))
+    if tree.n_customers > PARTITION_MAX_CUSTOMERS:
+        raise TooLargeError(
+            f"partition mode supports at most {PARTITION_MAX_CUSTOMERS} customers, "
+            f"got {tree.n_customers}"
+        )
+    return math.fsum(
+        prob * optimal_unsplit_partition(tree, q).cost
+        for q, prob in enumerate_joint(model, limit=limit)
+    )

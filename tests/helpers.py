@@ -18,6 +18,7 @@ from treevrpsd import (
     DemandModel,
     TreeInstance,
     build_tree,
+    clairvoyant_edge_lb,
     make_pmf,
 )
 
@@ -233,6 +234,14 @@ def joint_demand_vectors(model: DemandModel) -> Iterator[tuple[tuple[int, ...], 
     supports = [pmf.mass for pmf in model.pmfs]
     for combo in itertools.product(*supports):
         yield tuple(v for v, _ in combo), math.prod(w for _, w in combo)
+
+
+def enumerated_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
+    """Expected clairvoyant edge bound by summing over every joint vector."""
+    return math.fsum(
+        prob * clairvoyant_edge_lb(tree, demands)
+        for demands, prob in joint_demand_vectors(model)
+    )
 
 
 def assert_trace_matches_naive(tree: TreeInstance, trace, dist, order, demands, load) -> None:

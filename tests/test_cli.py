@@ -199,14 +199,36 @@ def test_evaluate_mc_single_sample_exits_2(capsys, corpus_dir):
     assert "error:" in stderr
 
 
-def test_evaluate_exact_over_limit_exits_3(capsys, corpus_dir, monkeypatch):
+def test_evaluate_exact_over_limit_exits_3(tmp_path, capsys, corpus_dir, monkeypatch):
+    # Exact evaluation no longer enumerates: a limit of 1 changes nothing
+    # there, and only the partition cell of the report is affected.
+    e4 = str(corpus_dir / "E4.json")
     monkeypatch.setenv(ENUM_LIMIT_ENV, "1")
-    code, _, stderr = run_cli(
-        capsys, "evaluate", "--instance", str(corpus_dir / "E4.json"),
-        "--policy", "split", "--mode", "exact",
+    code, stdout, stderr = run_cli(
+        capsys, "evaluate", "--instance", e4, "--policy", "split", "--mode", "exact",
     )
-    assert code == 3
-    assert "Monte Carlo" in stderr
+    assert code == 0
+    assert stderr == ""
+    limited = json.loads(stdout)
+    monkeypatch.delenv(ENUM_LIMIT_ENV)
+    _, stdout, _ = run_cli(
+        capsys, "evaluate", "--instance", e4, "--policy", "split", "--mode", "exact",
+    )
+    assert limited == json.loads(stdout)
+    assert limited["expected_cost"] == 2.5
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "E4.json").write_text(Path(e4).read_text(encoding="utf-8"), encoding="utf-8")
+    out_csv = tmp_path / "report.csv"
+    monkeypatch.setenv(ENUM_LIMIT_ENV, "1")
+    code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))
+    assert code == 0
+    rows = {row["policy"]: row for row in csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())}
+    assert rows["unsplit"]["clairvoyant_lb"] == ""
+    assert rows["unsplit"]["sharpened_ratio"] == ""
+    assert rows["split"]["clairvoyant_lb"] == "2.0"
+    assert all(row["mode"] == "exact" for row in rows.values())
 
 
 def test_report_over_worked_examples(tmp_path, capsys, corpus_dir):
@@ -237,6 +259,29 @@ def test_report_over_worked_examples(tmp_path, capsys, corpus_dir):
     assert len(plot) == 41  # 20 bins per policy
     counts = [int(line.rsplit(",", 1)[1]) for line in plot[1:]]
     assert sum(counts) == 8
+
+
+def test_report_large_instance_is_exact_with_bounds(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    code, _, _ = run_cli(
+        capsys, "gen", "--n", "200", "--capacity", "10", "--topology", "random-attachment",
+        "--pmf", "unif:1-10", "--seed", "3", "--out", str(corpus / "big.json"),
+    )
+    assert code == 0
+    out_csv = tmp_path / "report.csv"
+    code, _, stderr = run_cli(
+        capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv)
+    )
+    assert code == 0
+    assert stderr == ""
+    rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert [row["policy"] for row in rows] == ["split", "unsplit"]
+    for row in rows:
+        assert row["mode"] == "exact"
+        clairvoyant = float(row["clairvoyant_lb"])
+        assert float(row["tour_floor"]) <= clairvoyant <= float(row["expected_cost"])
+        assert float(row["sharpened_ratio"]) == float(row["expected_cost"]) / clairvoyant
 
 
 def test_report_empty_directory(tmp_path, capsys):

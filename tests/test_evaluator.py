@@ -83,14 +83,17 @@ def test_exact_matches_library_free_enumeration():
 
 
 def test_exact_rejects_oversized_enumeration():
+    # Exact expectation is a closed form; the certificate diagnostic is
+    # the evaluator path that still enumerates under the limit.
     tree = build_tree([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], capacity=3)
     pmf = make_pmf([(1, 0.5), (2, 0.5)], capacity=3)
     model = DemandModel(pmfs=(pmf, pmf, pmf), capacity=3)
-    # 8 joint vectors * 3 loads = 24 cost evaluations
-    assert exact_expected_cost(tree, model, "split", limit=24) > 0
+    # 8 joint vectors * 3 loads = 24 trace runs
+    assert expected_trace_certificate(tree, model, "split", limit=24) > 0
     with pytest.raises(TooLargeError) as info:
-        exact_expected_cost(tree, model, "split", limit=23)
-    assert "Monte Carlo" in str(info.value)
+        expected_trace_certificate(tree, model, "split", limit=23)
+    assert "24 runs" in str(info.value)
+    assert "limit 23" in str(info.value)
 
 
 def test_exact_respects_env_limit(monkeypatch):
@@ -100,9 +103,46 @@ def test_exact_respects_env_limit(monkeypatch):
     model = point_model((1,), capacity=2)
     monkeypatch.setenv(ENUM_LIMIT_ENV, "1")
     with pytest.raises(TooLargeError):
-        exact_expected_cost(tree, model, "split")  # needs 1 * 2 = 2 evaluations
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "2")
+        expected_trace_certificate(tree, model, "split")  # needs 1 * 2 = 2 runs
+    # the closed form ignores the limit
     assert exact_expected_cost(tree, model, "split") == 2.0
+    monkeypatch.setenv(ENUM_LIMIT_ENV, "2")
+    # either load gives one tour dispatching 1 unit to depth 1: (2/2) * 1 * 1
+    assert expected_trace_certificate(tree, model, "split") == 1.0
+
+
+def test_exact_scales_linearly_on_deep_path():
+    n = 100_000
+    tree = build_tree([(v - 1, v, 1.0) for v in range(1, n + 1)], capacity=10)
+    pmf = make_pmf([(k, 0.1) for k in range(1, 11)], capacity=10)
+    model = DemandModel(pmfs=(pmf,) * n, capacity=10)
+    # reroute via the depot between stops i and i+1 adds 2i (none after
+    # the last); E[D] - 1 = 4.5, and the round trip at stop i is 2i
+    reroute = 0.2 * n * (n - 1) / 2.0
+    want_split = 2.0 * n + reroute + 0.45 * n * (n + 1)
+    assert exact_expected_cost(tree, model, "split") == pytest.approx(want_split, rel=1e-9)
+    # unsplit doubles every deficit round trip but the last one
+    want_unsplit = 2.0 * n + reroute + 0.9 * n * (n - 1) + 0.9 * n
+    assert exact_expected_cost(tree, model, "unsplit") == pytest.approx(want_unsplit, rel=1e-9)
+
+
+def test_certificate_over_limit_message_is_bounded(monkeypatch):
+    from treevrpsd import GeneratorParams, generate
+    from treevrpsd.demand import ENUM_LIMIT_ENV
+
+    monkeypatch.delenv(ENUM_LIMIT_ENV, raising=False)
+    tree, model = generate(
+        GeneratorParams(n=1000, capacity=10, topology="random-attachment", pmf="unif:1-10", seed=0)
+    )
+    with pytest.raises(TooLargeError) as info:
+        expected_trace_certificate(tree, model, "split")
+    message = str(info.value)
+    assert len(message) < 200
+    assert "about 10^1001 runs" in message
+    with pytest.raises(TooLargeError) as info:
+        enumerate_joint(model)
+    assert len(str(info.value)) < 200
+    assert "about 10^1000 vectors" in str(info.value)
 
 
 def test_monte_carlo_reproducible_and_consistent(e4):

@@ -7,12 +7,15 @@ import pytest
 
 from treevrpsd import (
     BadParamsError,
+    DemandModel,
     Realization,
     TooLargeError,
     build_tree,
     dfs_order,
     exact_expected_cost,
+    expectation,
     expected_clairvoyant_lb,
+    make_pmf,
     optimal_unsplit_partition,
     point_model,
     run_unsplit,
@@ -21,7 +24,9 @@ from treevrpsd.bounds import clairvoyant_edge_lb
 from treevrpsd.oracle import PARTITION_MAX_CUSTOMERS
 
 from helpers import (
+    EDGE_LENGTHS,
     brute_optimal_partition_cost,
+    enumerated_edge_lb,
     random_edges,
     random_model,
 )
@@ -148,4 +153,47 @@ def test_expected_clairvoyant_respects_enum_limit():
     tree = build_tree([(0, 1, 1.0)], capacity=2)
     model = random_uniform_two(tree)
     with pytest.raises(TooLargeError):
-        expected_clairvoyant_lb(tree, model, mode="edge", limit=1)
+        expected_clairvoyant_lb(tree, model, mode="partition", limit=1)
+    # the edge closed form enumerates nothing, so the limit does not apply
+    assert expected_clairvoyant_lb(tree, model, mode="edge", limit=1) == 2.0
+
+
+def _random_shape(rng: random.Random, shape: str, n: int) -> list[tuple[int, int, float]]:
+    if shape == "star":
+        return [(0, v, rng.choice(EDGE_LENGTHS)) for v in range(1, n + 1)]
+    if shape == "path":
+        return [(v - 1, v, rng.choice(EDGE_LENGTHS)) for v in range(1, n + 1)]
+    return random_edges(rng, n)
+
+
+def test_expected_edge_closed_form_matches_enumeration():
+    rng = random.Random(54)
+    shapes = ("random", "star", "path")
+    for trial in range(240):
+        shape = shapes[trial % 3]
+        n = rng.randint(1, 9 if shape == "path" else 6)
+        capacity = 1 if trial % 8 == 0 else rng.randint(2, 6)
+        tree = build_tree(_random_shape(rng, shape, n), capacity)
+        model = random_model(rng, tree, max_support=2 if n > 6 else 3)
+        closed = expected_clairvoyant_lb(tree, model, mode="edge")
+        want = enumerated_edge_lb(tree, model)
+        assert math.isclose(closed, want, rel_tol=1e-9), (trial, shape, n, capacity)
+
+
+def test_expected_edge_on_deep_path():
+    n, capacity = 10_000, 4
+    tree = build_tree([(v - 1, v, 0.5) for v in range(1, n + 1)], capacity)
+    # point masses: the expectation is the bound of the one demand vector
+    demands = tuple(1 + v % capacity for v in range(n))
+    point = point_model(demands, capacity)
+    assert expected_clairvoyant_lb(tree, point, mode="edge") == pytest.approx(
+        clairvoyant_edge_lb(tree, demands), rel=1e-9
+    )
+    # spread pmfs: E[D_e]/Q <= E[ceil(D_e/Q)] <= E[D_e]/Q + (Q-1)/Q on every edge
+    pmf = make_pmf([(1, 0.3), (3, 0.7)], capacity)
+    model = DemandModel(pmfs=(pmf,) * n, capacity=capacity)
+    got = expected_clairvoyant_lb(tree, model, mode="edge")
+    mean_sum = expectation(pmf) * n * (n + 1) / 2.0  # sum over edges of E[D_e]
+    low = 2.0 * 0.5 * mean_sum / capacity
+    high = low + 2.0 * 0.5 * n * (capacity - 1) / capacity
+    assert low <= got <= high
