@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .demand import DemandModel, expectation
 from .errors import InconsistentRealizationError
-from .policy import RunTrace
+from .policy import RunTrace, trace_tours
 from .tree import TreeInstance
 
 
@@ -71,7 +71,7 @@ def trace_certificate(trace: RunTrace, tree: TreeInstance) -> float:
     """
     return (2.0 / tree.capacity) * math.fsum(
         tree.depot_dist[t.farthest] * t.load_dispatched
-        for t in trace.tours
+        for t in trace_tours(trace, tree)
         if t.farthest is not None
     )
 

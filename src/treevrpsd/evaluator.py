@@ -8,7 +8,8 @@ independent of the demands, the stock on arrival at every customer is
 therefore uniform on {1..Q} and independent of that customer's demand:
 customer i is an exact breakpoint with probability 1/Q and a deficit
 breakpoint with probability (E[D_i] - 1)/Q.  The expected cost is the
-walk base plus those probabilities times the per-position detours of
+walk base plus those probabilities times the per-position detours
+``reroute_extra`` and ``deficit_detour`` of
 :class:`~treevrpsd.policy.WalkGeometry`.  Monte Carlo mode draws
 independent replications, each from a private generator seeded by a
 pure function of (master seed, replication index), so estimates are
@@ -33,7 +34,7 @@ from .demand import (
     sample_realization,
 )
 from .errors import BadParamsError, TooLargeError
-from .policy import POLICIES, SPLIT, UNSPLIT, WalkGeometry, run_split, run_unsplit
+from .policy import POLICIES, SPLIT, WalkGeometry, run_split, run_unsplit
 from .tree import TreeInstance, VisitOrder, dfs_order
 
 EXACT = "exact"
@@ -84,21 +85,20 @@ def exact_expected_cost(
     """Exact expectation over the demands and the uniform initial load.
 
     ``base_length + sum_i [reroute_extra_i / Q
-    + (E[D_i] - 1)/Q * m_i * round_trip_i]``, where the deficit
-    multiplier m_i is 1 for split and, for unsplit, 2 except 1 at the
-    last stop.  Linear in the number of customers; nothing is
-    enumerated, so there is no size limit.
+    + (E[D_i] - 1)/Q * deficit_detour[policy]_i]`` over the fields of
+    :class:`~treevrpsd.policy.WalkGeometry`, which alone states how the
+    policies' deficit detours differ.  Linear in the number of
+    customers; nothing is enumerated, so there is no size limit.
     """
     _check_policy(policy)
     geometry = WalkGeometry(tree, dfs_order(tree) if order is None else order)
     capacity = tree.capacity
-    final = len(geometry.demand_index) - 1
+    deficit_detour = geometry.deficit_detour[policy]
     terms = [geometry.base_length]
     for i, di in enumerate(geometry.demand_index):
-        multiplier = 2.0 if policy == UNSPLIT and i < final else 1.0
         deficit_mass = expectation(model.pmfs[di]) - 1.0
         terms.append(geometry.reroute_extra[i] / capacity)
-        terms.append(deficit_mass * multiplier * geometry.round_trip[i] / capacity)
+        terms.append(deficit_mass * deficit_detour[i] / capacity)
     return math.fsum(terms)
 
 

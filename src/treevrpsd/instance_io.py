@@ -28,7 +28,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .tree import TreeInstance, build_tree
+from .tree import TreeInstance, build_tree, describe_non_permutation
 
 TOPOLOGIES = ("path", "star", "random-attachment", "caterpillar")
 
@@ -132,14 +132,19 @@ def document_to_instance(doc: InstanceDocument) -> tuple[TreeInstance, DemandMod
     nodes = [node for node, _ in doc.demands]
     if sorted(nodes) != list(range(1, n + 1)):
         raise SchemaError(
-            f"demands must cover each customer 1..{n} exactly once, got nodes {nodes}"
+            f"demands must cover each customer 1..{n} exactly once: node {describe_non_permutation(nodes, n)}"
         )
+    # Generated documents give every customer the same pmf: validate each
+    # distinct entries tuple (sorted by parse_document) once and share it.
+    pmf_by_entries: dict[tuple[tuple[int, float], ...], DemandPMF] = {}
     pmf_by_node: dict[int, DemandPMF] = {}
     for idx, (node, entries) in enumerate(doc.demands):
-        try:
-            pmf_by_node[node] = make_pmf(entries, doc.capacity)
-        except ValidationError as exc:
-            raise type(exc)(f"demands[{idx}] (node {node}): {exc}") from None
+        if entries not in pmf_by_entries:
+            try:
+                pmf_by_entries[entries] = make_pmf(entries, doc.capacity)
+            except ValidationError as exc:
+                raise type(exc)(f"demands[{idx}] (node {node}): {exc}") from None
+        pmf_by_node[node] = pmf_by_entries[entries]
     model = DemandModel(
         pmfs=tuple(pmf_by_node[node] for node in range(1, n + 1)),
         capacity=doc.capacity,

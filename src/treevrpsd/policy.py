@@ -46,16 +46,6 @@ POLICIES = (SPLIT, UNSPLIT)
 
 
 @dataclass(frozen=True)
-class ServiceEvent:
-    """One delivery: ``delivered`` units handed over at ``customer``."""
-
-    customer: int
-    delivered: int
-    load_before: int
-    load_after: int
-
-
-@dataclass(frozen=True)
 class Tour:
     """Maximal depot-to-depot segment of the walk.
 
@@ -75,26 +65,24 @@ class Tour:
 class RunTrace:
     """Complete record of one policy execution.
 
-    ``events`` is the chronological log the other fields are derived
-    from: ``("move", frm, to, dist)``, ``("serve", customer, units,
-    load_before, load_after)``, and ``("breakpoint", customer, kind)``
-    entries in execution order.  ``post_customer_loads`` gives the
-    on-board stock at the moment the vehicle leaves each customer for
-    the next a priori stop (or ends the run), in visiting order.
+    ``events`` is the chronological log: ``("move", frm, to, dist)``,
+    ``("serve", customer, units, load_before, load_after)``, and
+    ``("breakpoint", customer, kind)`` entries in execution order;
+    :func:`trace_tours` derives the depot-to-depot tours from it.
+    ``post_customer_loads`` gives the on-board stock at the moment the
+    vehicle leaves each customer for the next a priori stop (or ends
+    the run), in visiting order.
     """
 
     policy: str
-    movements: tuple[tuple[int, int, float], ...]
-    services: tuple[ServiceEvent, ...]
     breakpoints: frozenset[int]
     breakpoint_kinds: Mapping[int, str]
     post_customer_loads: tuple[int, ...]
-    tours: tuple[Tour, ...]
     total_length: float
     events: tuple[tuple, ...]
 
 
-def _check_realization(tree: TreeInstance, order: Sequence[int], r: Realization) -> None:
+def _check_realization(tree: TreeInstance, r: Realization) -> None:
     n = tree.n_customers
     q = tree.capacity
     if len(r.demands) != n:
@@ -106,14 +94,15 @@ def _check_realization(tree: TreeInstance, order: Sequence[int], r: Realization)
             raise InconsistentRealizationError(f"demand {d!r} of customer {idx} outside 1..{q}")
     if not isinstance(r.initial_load, int) or isinstance(r.initial_load, bool) or not (1 <= r.initial_load <= q):
         raise InconsistentRealizationError(f"initial load {r.initial_load!r} outside 1..{q}")
-    check_preorder(tree, order)
 
 
-def _build_tours(events: Sequence[tuple], depot_dist: Sequence[float]) -> tuple[Tour, ...]:
+def trace_tours(trace: RunTrace, tree: TreeInstance) -> tuple[Tour, ...]:
+    """The trace's maximal depot-to-depot tours, in execution order."""
+    depot_dist = tree.depot_dist
     tours: list[Tour] = []
     seg_lengths: list[float] = []
     seg_serves: list[tuple[int, int]] = []
-    for ev in events:
+    for ev in trace.events:
         if ev[0] == "move":
             _, _, to, dist = ev
             seg_lengths.append(dist)
@@ -138,7 +127,9 @@ def _build_tours(events: Sequence[tuple], depot_dist: Sequence[float]) -> tuple[
 
 
 def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: str) -> RunTrace:
-    _check_realization(tree, order, r)
+    _check_realization(tree, r)
+    legs = WalkGeometry(tree, order).legs
+    depot_dist = tree.depot_dist
     capacity = tree.capacity
     events: list[tuple] = []
     position = 0
@@ -148,18 +139,24 @@ def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: s
     seq = tuple(order)
     n = len(seq)
 
-    def move(dest: int) -> None:
+    def move(dest: int, dist: float) -> None:
         nonlocal position
-        events.append(("move", position, dest, path_distance(tree, position, dest)))
+        events.append(("move", position, dest, dist))
         position = dest
 
     def serve(v: int, units: int, before: int) -> None:
         events.append(("serve", v, units, before, before - units))
 
+    def depot_round_trip(v: int) -> None:
+        move(0, depot_dist[v])
+        move(v, depot_dist[v])
+
     for idx, v in enumerate(seq):
         q = r.demands[v - 1]
         last = idx == n - 1
-        move(v)
+        # Every move touches the depot except the walk leg from the
+        # previous customer, so depot_dist and legs price all of them.
+        move(v, legs[idx] if position else depot_dist[v])
         if q < load:
             serve(v, q, load)
             load -= q
@@ -169,7 +166,7 @@ def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: s
             serve(v, q, load)
             load = 0
             if not last:
-                move(0)
+                move(0, depot_dist[v])
                 load = capacity
         else:
             kinds[v] = "deficit"
@@ -177,40 +174,31 @@ def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: s
             if policy == SPLIT:
                 remainder = q - load
                 serve(v, load, load)
-                move(0)
+                depot_round_trip(v)
                 load = remainder if last else capacity
-                move(v)
                 serve(v, remainder, load)
                 load -= remainder
             else:
                 arrival = load
-                move(0)
+                depot_round_trip(v)
                 load = q
-                move(v)
                 serve(v, q, load)
                 load = 0
                 if not last:
-                    move(0)
+                    depot_round_trip(v)
                     load = capacity + arrival - q
-                    move(v)
         post_loads.append(load)
 
     if position != 0:
-        move(0)
+        move(0, depot_dist[position])
 
-    ev = tuple(events)
-    movements = tuple((e[1], e[2], e[3]) for e in ev if e[0] == "move")
-    services = tuple(ServiceEvent(e[1], e[2], e[3], e[4]) for e in ev if e[0] == "serve")
     return RunTrace(
         policy=policy,
-        movements=movements,
-        services=services,
         breakpoints=frozenset(kinds),
         breakpoint_kinds=kinds,
         post_customer_loads=tuple(post_loads),
-        tours=_build_tours(ev, tree.depot_dist),
-        total_length=math.fsum(m[2] for m in movements),
-        events=ev,
+        total_length=math.fsum(e[3] for e in events if e[0] == "move"),
+        events=tuple(events),
     )
 
 
@@ -277,77 +265,60 @@ def breakpoint_probability_exact(demands: Sequence[int], capacity: int, position
 
 
 class WalkGeometry:
-    """Per-(tree, order) precomputation for O(n) cost evaluation.
+    """Per-(tree, order) walk geometry shared by traces and O(n) costs.
 
-    Exact expectation and Monte Carlo need only the walk length, not the
-    full trace.  The cost of a run is the closed-walk base plus, per
-    breakpoint, a detour term that depends only on the customer's
-    position: an exact breakpoint reroutes via the depot (extra
-    ``2*d(0, lca(v, next))``, zero at the final stop) and a deficit
-    breakpoint adds depot round trips (one for split, two mid-walk for
-    unsplit).  Costs agree with ``run_split``/``run_unsplit`` totals up
-    to float accumulation.
+    ``legs`` are the distances between consecutive stops of the closed
+    walk depot, order..., depot.  A run costs their sum plus, per
+    breakpoint, a detour fixed by the customer's position: an exact
+    breakpoint reroutes via the depot (``reroute_extra``, zero at the
+    final stop); a deficit adds ``deficit_detour[policy]``, the policies'
+    only difference: one depot round trip ``2*d(0, v)`` for split, two
+    for unsplit (fetch, then restock) except one at the final stop.
+    Costs agree with the trace totals up to float accumulation.
     """
 
-    __slots__ = ("capacity", "base_length", "demand_index", "round_trip", "reroute_extra")
+    __slots__ = ("capacity", "legs", "base_length", "demand_index", "reroute_extra", "deficit_detour")
 
     def __init__(self, tree: TreeInstance, order: Sequence[int]):
         check_preorder(tree, order)
         seq = tuple(order)
         stops = [0, *seq, 0]
-        legs = [path_distance(tree, stops[k], stops[k + 1]) for k in range(len(stops) - 1)]
+        legs = tuple(path_distance(tree, stops[k], stops[k + 1]) for k in range(len(stops) - 1))
         self.capacity = tree.capacity
+        self.legs = legs
         self.base_length = math.fsum(legs)
         self.demand_index = tuple(v - 1 for v in seq)
-        self.round_trip = tuple(2.0 * tree.depot_dist[v] for v in seq)
         # Detour for heading to the next stop via the depot instead of the
         # direct leg: d(0,v) + d(0,next) - direct == 2*d(0, lca(v, next)).
         self.reroute_extra = tuple(
             tree.depot_dist[seq[k]] + tree.depot_dist[stops[k + 2]] - legs[k + 1]
             for k in range(len(seq))
         )
+        round_trip = tuple(2.0 * tree.depot_dist[v] for v in seq)
+        self.deficit_detour = {
+            SPLIT: round_trip,
+            UNSPLIT: tuple(2.0 * t for t in round_trip[:-1]) + round_trip[-1:],
+        }
 
     def split_cost(self, demands: Sequence[int], initial_load: int) -> float:
-        capacity = self.capacity
-        load = initial_load
-        extra = 0.0
-        final = len(self.demand_index) - 1
-        for i, di in enumerate(self.demand_index):
-            q = demands[di]
-            if q < load:
-                load -= q
-            elif q == load:
-                extra += self.reroute_extra[i]
-                load = capacity if i < final else 0
-            else:
-                extra += self.round_trip[i]
-                load = capacity - (q - load) if i < final else 0
-        return self.base_length + extra
+        return self._cost(self.deficit_detour[SPLIT], demands, initial_load)
 
     def unsplit_cost(self, demands: Sequence[int], initial_load: int) -> float:
+        return self._cost(self.deficit_detour[UNSPLIT], demands, initial_load)
+
+    def _cost(self, deficit_detour: Sequence[float], demands: Sequence[int], initial_load: int) -> float:
+        # The stock after the final stop is never read: no last-stop test.
         capacity = self.capacity
         load = initial_load
         extra = 0.0
-        final = len(self.demand_index) - 1
         for i, di in enumerate(self.demand_index):
             q = demands[di]
             if q < load:
                 load -= q
             elif q == load:
                 extra += self.reroute_extra[i]
-                load = capacity if i < final else 0
+                load = capacity
             else:
-                if i < final:
-                    extra += 2.0 * self.round_trip[i]
-                    load = capacity - (q - load)
-                else:
-                    extra += self.round_trip[i]
-                    load = 0
+                extra += deficit_detour[i]
+                load = capacity - (q - load)
         return self.base_length + extra
-
-    def cost(self, policy: str, demands: Sequence[int], initial_load: int) -> float:
-        if policy == SPLIT:
-            return self.split_cost(demands, initial_load)
-        if policy == UNSPLIT:
-            return self.unsplit_cost(demands, initial_load)
-        raise ValueError(f"unknown policy {policy!r}")

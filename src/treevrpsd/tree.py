@@ -192,18 +192,31 @@ def check_preorder(tree: TreeInstance, order: Sequence[int]) -> None:
     seq = tuple(order)
     n = tree.n_customers
     if sorted(seq) != list(range(1, n + 1)):
-        raise InvalidOrderError(f"order {seq!r} is not a permutation of 1..{n}")
+        raise InvalidOrderError(
+            f"order is not a permutation of 1..{n}: vertex {describe_non_permutation(seq, n)}"
+        )
     stack = [0]
-    for v in seq:
+    for pos, v in enumerate(seq):
         p = tree.parent[v]
         while stack and stack[-1] != p:
             stack.pop()
         if not stack:
             raise InvalidOrderError(
-                f"order {seq!r} is not a preorder of this tree (vertex {v} "
-                f"appears outside its parent's open subtree)"
+                f"order is not a preorder of this tree: vertex {v} at position {pos} "
+                f"(n={n}) appears outside its parent's open subtree"
             )
         stack.append(v)
+
+
+def describe_non_permutation(items: Sequence[int], n: int) -> str:
+    """Name one entry and its position (or one missing value) that keeps
+    ``items`` from being a permutation of 1..n, so messages stay short."""
+    unseen = set(range(1, n + 1))
+    for pos, v in enumerate(items):
+        if v not in unseen:
+            return f"{v!r} at position {pos} is outside 1..{n} or repeated"
+        unseen.remove(v)
+    return f"{min(unseen)} is missing ({len(items)} entries)"
 
 
 def closed_walk_length(tree: TreeInstance, order: Sequence[int]) -> float:

@@ -256,7 +256,7 @@ def assert_trace_matches_naive(tree: TreeInstance, trace, dist, order, demands, 
         else:
             got.append(("breakpoint", ev[1], ev[2]))
     assert got == expected
-    for frm, to, length in trace.movements:
+    for _, frm, to, length in (ev for ev in trace.events if ev[0] == "move"):
         assert math.isclose(length, dist[frm][to], rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(
         trace.total_length,

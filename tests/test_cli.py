@@ -330,3 +330,19 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "gen" in result.stdout and "report" in result.stdout
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # perfbench/tracing.py wraps program names (policy.path_distance,
+    # WalkGeometry.split_cost, oracle.clairvoyant_edge_lb, ...) where the
+    # modules import them; constructing a Tracer looks every one up, so a
+    # rename that would break the benchmark's traced mode fails here.
+    import importlib.util
+
+    import treevrpsd.cli  # noqa: F401  (the tracer reads the loaded modules)
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracing.Tracer()

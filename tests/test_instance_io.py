@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -131,6 +132,31 @@ def test_semantic_errors_carry_field_context():
     with pytest.raises(CycleOrForestError) as info:
         parse_instance('{"name": "x", "capacity": 2, "edges": [[1, 0, 1.0]], "demands": []}')
     assert str(info.value).startswith("edges:")
+
+
+def test_demand_node_errors_stay_short_at_scale():
+    n = 10_000
+    doc = generate_document(GeneratorParams(n=n, capacity=3, topology="path", pmf="unif:1-3", seed=1))
+    missing = dataclasses.replace(doc, demands=doc.demands[:500] + doc.demands[501:])
+    with pytest.raises(SchemaError) as info:
+        document_to_instance(missing)
+    assert f"1..{n}" in str(info.value) and "node 501 is missing" in str(info.value)
+    assert len(str(info.value)) < 200
+
+
+def test_identical_pmfs_are_built_once():
+    doc = generate_document(GeneratorParams(n=6, capacity=3, topology="star", pmf="unif:1-3", seed=2))
+    # parsing gives every customer its own, equal, entries tuple
+    parsed = parse_document(serialize_document(doc))
+    _, model = document_to_instance(parsed)
+    assert all(pmf is model.pmfs[0] for pmf in model.pmfs)
+    # a bad pmf after shared good ones still names its own entry
+    bad = dataclasses.replace(
+        parsed, demands=parsed.demands[:2] + ((3, ((1, 0.5),)),) + parsed.demands[3:]
+    )
+    with pytest.raises(NotNormalizedError) as info:
+        document_to_instance(bad)
+    assert str(info.value).startswith("demands[2] (node 3): ")
 
 
 def test_parse_pmf_spec_families():

@@ -21,7 +21,7 @@ from treevrpsd import (
     run_split,
     run_unsplit,
 )
-from treevrpsd.policy import POLICIES
+from treevrpsd.policy import POLICIES, trace_tours
 
 from helpers import (
     assert_trace_matches_naive,
@@ -124,7 +124,7 @@ def test_empty_instance_trace_is_empty():
     tree = build_tree([], capacity=2)
     trace = run_split(tree, (), Realization((), 1))
     assert trace.total_length == 0.0
-    assert trace.movements == ()
+    assert [ev for ev in trace.events if ev[0] == "move"] == []
     assert format_trace(trace) == ""
 
 
@@ -146,13 +146,14 @@ def test_realization_validation():
 def test_tour_decomposition_and_loads():
     tree = build_tree(E3_EDGES, capacity=3)
     trace = run_unsplit(tree, dfs_order(tree), Realization((2, 2), 1))
+    tours = trace_tours(trace, tree)
     # segments split at every arrival at the depot
-    assert [t.customers_served for t in trace.tours] == [(), ((1, 2),), ((2, 2),)]
-    assert [t.farthest for t in trace.tours] == [None, 1, 2]
-    assert [t.load_dispatched for t in trace.tours] == [0, 2, 2]
-    assert math.fsum(t.length for t in trace.tours) == trace.total_length
+    assert [t.customers_served for t in tours] == [(), ((1, 2),), ((2, 2),)]
+    assert [t.farthest for t in tours] == [None, 1, 2]
+    assert [t.load_dispatched for t in tours] == [0, 2, 2]
+    assert math.fsum(t.length for t in tours) == trace.total_length
     # every tour dispatches at most a full vehicle
-    assert all(t.load_dispatched <= tree.capacity for t in trace.tours)
+    assert all(t.load_dispatched <= tree.capacity for t in tours)
 
 
 def test_services_sum_to_demands_everywhere():
@@ -165,15 +166,16 @@ def test_services_sum_to_demands_everywhere():
         load = rng.randint(1, capacity)
         for run in (run_split, run_unsplit):
             trace = run(tree, dfs_order(tree), Realization(demands, load))
+            serves = [ev[1:] for ev in trace.events if ev[0] == "serve"]
             delivered = {v: 0 for v in range(1, n + 1)}
-            for s in trace.services:
-                assert s.load_after == s.load_before - s.delivered
-                assert s.delivered >= 1
-                delivered[s.customer] += s.delivered
+            for customer, units, load_before, load_after in serves:
+                assert load_after == load_before - units
+                assert units >= 1
+                delivered[customer] += units
             assert delivered == {v: demands[v - 1] for v in range(1, n + 1)}
             # unsplit serves every customer in exactly one visit
             if run is run_unsplit:
-                assert len(trace.services) == n
+                assert len(serves) == n
 
 
 def test_traces_match_naive_rules_event_by_event():
@@ -210,7 +212,8 @@ def test_walk_geometry_equals_trace_totals():
         assert math.isclose(
             geometry.unsplit_cost(demands, load), unsplit_trace.total_length, rel_tol=1e-9
         )
-        assert geometry.cost("split", demands, load) == geometry.split_cost(demands, load)
+        # the policies share one kernel and differ only in the deficit detour
+        assert geometry.unsplit_cost(demands, load) >= geometry.split_cost(demands, load)
 
 
 def test_breakpoints_agree_with_arithmetic_rule():
@@ -290,4 +293,35 @@ def test_policies_respect_alternative_preorders():
             naive_policy_cost(dist, order, demands, 1, 2, policy)
         )
         geometry = WalkGeometry(tree, order)
-        assert geometry.cost(policy, demands, 1) == pytest.approx(trace.total_length)
+        cost = geometry.split_cost if policy == "split" else geometry.unsplit_cost
+        assert cost(demands, 1) == pytest.approx(trace.total_length)
+
+
+def test_trace_execution_is_linear_on_deep_path(monkeypatch):
+    # Every move used to price itself with an O(depth) LCA walk; the
+    # executor now reads the walk legs once, so a deep path costs at most
+    # one path_distance call per leg of the closed walk.
+    import treevrpsd.policy as policy_module
+
+    n = 10_000
+    tree = build_tree([(v - 1, v, 0.5 + (v % 7) / 4) for v in range(1, n + 1)], capacity=2)
+    order = dfs_order(tree)
+    geometry = WalkGeometry(tree, order)
+    calls = 0
+    original = policy_module.path_distance
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(policy_module, "path_distance", counting)
+    demands = (2,) * n
+    # load 1: a deficit at every customer; load 2: an exact breakpoint at every one
+    for load in (1, 2):
+        for run, cost in ((run_split, geometry.split_cost), (run_unsplit, geometry.unsplit_cost)):
+            calls = 0
+            trace = run(tree, order, Realization(demands, load))
+            assert calls <= n + 1
+            assert len(trace.breakpoints) == n
+            assert math.isclose(trace.total_length, cost(demands, load), rel_tol=1e-9)

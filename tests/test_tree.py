@@ -168,6 +168,21 @@ def test_check_preorder_rejects_bad_orders():
         check_preorder(tree, (0, 1, 2, 3))  # depot may not appear
 
 
+def test_order_errors_stay_short_at_scale():
+    # a message names one offending vertex, its position and n, never the order
+    n = 100_000
+    tree = build_tree([(v - 1, v, 1.0) for v in range(1, n + 1)], capacity=2)
+    for order, fragment in [
+        (tuple(range(n, 0, -1)), f"vertex {n} at position 0 (n={n})"),
+        ((1, 1, *range(3, n + 1)), "vertex 1 at position 1"),
+        (tuple(range(1, n)), f"vertex {n} is missing"),
+    ]:
+        with pytest.raises(InvalidOrderError) as info:
+            check_preorder(tree, order)
+        assert fragment in str(info.value)
+        assert len(str(info.value)) < 200
+
+
 def test_closed_walk_length_rejects_non_preorders():
     tree = build_tree([(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0)], capacity=2)
     with pytest.raises(InvalidOrderError):
