@@ -15,7 +15,9 @@ import itertools
 import math
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -71,13 +73,35 @@ def resolve_enum_limit(explicit: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class DemandPMF:
-    """Validated pmf over {1..Q}; ``mass`` holds (value, probability) ascending."""
+    """Validated pmf over {1..Q}; ``mass`` holds (value, probability) ascending.
+
+    ``mean`` and ``inverse_cdf`` are computed on first use and kept, so
+    customers that share one pmf object share them too.
+    """
 
     mass: tuple[tuple[int, float], ...]
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.mass)
+
+    @cached_property
+    def mean(self) -> float:
+        """Exact mean of the demand."""
+        return math.fsum(k * p for k, p in self.mass)
+
+    @cached_property
+    def inverse_cdf(self) -> tuple[tuple[float, ...], tuple[int, ...]]:
+        """Running sums of the masses, and the values with the last one repeated.
+
+        The sums are the floats a left-to-right scan adds up, so
+        ``values[bisect_right(sums, u)]`` is the first value whose sum
+        exceeds ``u``, or the last value when rounding leaves the final
+        sum at or below ``u`` (u ~ 1.0).
+        """
+        sums = tuple(itertools.accumulate(p for _, p in self.mass))
+        values = tuple(k for k, _ in self.mass)
+        return sums, values + values[-1:]
 
     def max_value(self) -> int:
         return self.mass[-1][0]
@@ -121,8 +145,8 @@ def make_pmf(entries: Iterable[tuple[int, float]], capacity: int) -> DemandPMF:
 
 
 def expectation(pmf: DemandPMF) -> float:
-    """Exact mean of the demand."""
-    return math.fsum(k * p for k, p in pmf.mass)
+    """Exact mean of the demand (computed once per pmf object)."""
+    return pmf.mean
 
 
 @dataclass(frozen=True)
@@ -145,6 +169,11 @@ class DemandModel:
     def n_customers(self) -> int:
         return len(self.pmfs)
 
+    @cached_property
+    def inverse_cdfs(self) -> tuple[tuple[tuple[float, ...], tuple[int, ...]], ...]:
+        """``DemandPMF.inverse_cdf`` of customers 1..n, in order."""
+        return tuple(pmf.inverse_cdf for pmf in self.pmfs)
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -161,17 +190,8 @@ def sample_realization(model: DemandModel, rng: random.Random) -> Realization:
     the pmf values in ascending order, then the initial load uniformly
     from {1..Q}.  The draw order is part of the determinism contract.
     """
-    demands = []
-    for pmf in model.pmfs:
-        u = rng.random()
-        acc = 0.0
-        value = pmf.mass[-1][0]  # guards the u ~ 1.0 float edge
-        for k, p in pmf.mass:
-            acc += p
-            if u < acc:
-                value = k
-                break
-        demands.append(value)
+    draw = rng.random
+    demands = [values[bisect_right(sums, draw())] for sums, values in model.inverse_cdfs]
     load = rng.randrange(1, model.capacity + 1)
     return Realization(demands=tuple(demands), initial_load=load)
 

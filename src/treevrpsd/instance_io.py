@@ -19,6 +19,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .demand import DemandModel, DemandPMF, make_pmf
@@ -55,6 +56,21 @@ def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+_DEMAND_KEYS = frozenset({"node", "pmf"})
+
+
+def _pmf_entries(pmf_raw: dict, where: str) -> tuple[tuple[int, float], ...]:
+    """Check one raw pmf object; return its (value, probability) pairs sorted."""
+    entries = []
+    for key, prob in pmf_raw.items():
+        try:
+            value = int(key)
+        except ValueError:
+            raise SchemaError(f"{where}.pmf: key {key!r} is not an integer") from None
+        entries.append((value, _require_number(prob, f"{where}.pmf[{key!r}]")))
+    return tuple(sorted(entries))
 
 
 def parse_document(text: str) -> InstanceDocument:
@@ -97,22 +113,30 @@ def parse_document(text: str) -> InstanceDocument:
     if not isinstance(raw["demands"], list):
         raise SchemaError("demands: expected an array")
     demands = []
+    # Customers usually repeat one listing: check each distinct one once and
+    # share its entries.  The value types are part of the key so that ``1``
+    # and ``true`` stay apart; an unhashable listing is never valid, and the
+    # full check names it.
+    entries_by_listing: dict[tuple, tuple[tuple[int, float], ...]] = {}
     for k, item in enumerate(raw["demands"]):
         where = f"demands[{k}]"
-        if not isinstance(item, dict) or set(item.keys()) != {"node", "pmf"}:
+        if not isinstance(item, dict) or item.keys() != _DEMAND_KEYS:
             raise SchemaError(f"{where}: expected an object with keys node, pmf")
         node = _require_int(item["node"], f"{where}.node")
         pmf_raw = item["pmf"]
         if not isinstance(pmf_raw, dict) or not pmf_raw:
             raise SchemaError(f"{where}.pmf: expected a non-empty object")
-        entries = []
-        for key, prob in pmf_raw.items():
-            try:
-                value = int(key)
-            except ValueError:
-                raise SchemaError(f"{where}.pmf: key {key!r} is not an integer") from None
-            entries.append((value, _require_number(prob, f"{where}.pmf[{key!r}]")))
-        demands.append((node, tuple(sorted(entries))))
+        listing = (tuple(pmf_raw.items()), tuple(map(type, pmf_raw.values())))
+        try:
+            entries = entries_by_listing[listing]
+        except KeyError:
+            entries = _pmf_entries(pmf_raw, where)
+            # 0.0 == -0.0, so a listing with a zero would lend its sign to others
+            if all(p for _, p in entries):
+                entries_by_listing[listing] = entries
+        except TypeError:
+            entries = _pmf_entries(pmf_raw, where)
+        demands.append((node, entries))
 
     return InstanceDocument(
         name=raw["name"],
@@ -169,18 +193,57 @@ def document_from_instance(tree: TreeInstance, model: DemandModel, name: str) ->
     return InstanceDocument(name=name, capacity=tree.capacity, edges=edges, demands=demands)
 
 
+# json spells the non-finite floats its own way; every other float is its repr.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = repr(float(x))
+    return _NON_FINITE.get(text, text)
+
+
+def _json_array(items: list[str]) -> str:
+    """A top-level member's array of already indented items."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n  ]"
+
+
+def _json_pmf(entries: tuple[tuple[int, float], ...]) -> str:
+    # a dict, as json.dumps would see it: a repeated value keeps its first
+    # position and its last probability
+    pmf = {str(k): float(p) for k, p in sorted(entries)}
+    if not pmf:
+        return "{}"
+    lines = ",\n".join(f"        {json.dumps(k)}: {_json_float(p)}" for k, p in pmf.items())
+    return "{\n" + lines + "\n      }"
+
+
 def serialize_document(doc: InstanceDocument) -> str:
-    """Canonical JSON text of a document (byte-stable)."""
-    payload = {
-        "name": doc.name,
-        "capacity": doc.capacity,
-        "edges": [[p, c, float(ln)] for p, c, ln in sorted(doc.edges, key=lambda e: e[1])],
-        "demands": [
-            {"node": node, "pmf": {str(k): float(p) for k, p in sorted(entries)}}
-            for node, entries in sorted(doc.demands)
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Canonical JSON text of a document (byte-stable).
+
+    The text is what ``json.dumps(payload, indent=2)`` gives, written
+    directly: edges sorted by child, one value per line, demands sorted
+    by node, pmf keys ascending.
+    """
+    edges = [
+        f"    [\n      {p},\n      {c},\n      {_json_float(ln)}\n    ]"
+        for p, c, ln in sorted(doc.edges, key=itemgetter(1))
+    ]
+    # One rendering per pmf object.  Keyed by identity: equal entries can
+    # still print differently (0.0 == -0.0).
+    pmf_text: dict[int, str] = {}
+    demands = []
+    for node, entries in sorted(doc.demands):
+        text = pmf_text.get(id(entries))
+        if text is None:
+            text = pmf_text[id(entries)] = _json_pmf(entries)
+        demands.append(f'    {{\n      "node": {node},\n      "pmf": {text}\n    }}')
+    return (
+        f'{{\n  "name": {json.dumps(doc.name)},\n  "capacity": {doc.capacity},\n'
+        f'  "edges": {_json_array(edges)},\n'
+        f'  "demands": {_json_array(demands)}\n}}\n'
+    )
 
 
 def serialize_instance(tree: TreeInstance, model: DemandModel, name: str) -> str:

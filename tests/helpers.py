@@ -10,12 +10,15 @@ itself.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from typing import Iterator, Sequence
 
 from treevrpsd import (
     DemandModel,
+    InstanceDocument,
+    Realization,
     TreeInstance,
     build_tree,
     clairvoyant_edge_lb,
@@ -264,3 +267,36 @@ def assert_trace_matches_naive(tree: TreeInstance, trace, dist, order, demands, 
         rel_tol=1e-9,
         abs_tol=1e-12,
     )
+
+
+# -- the replaced I/O and sampling routes ---------------------------------------
+
+def json_dumps_serialize(doc: InstanceDocument) -> str:
+    """Canonical text by building the payload and calling ``json.dumps``."""
+    payload = {
+        "name": doc.name,
+        "capacity": doc.capacity,
+        "edges": [[p, c, float(ln)] for p, c, ln in sorted(doc.edges, key=lambda e: e[1])],
+        "demands": [
+            {"node": node, "pmf": {str(k): float(p) for k, p in sorted(entries)}}
+            for node, entries in sorted(doc.demands)
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def linear_scan_realization(model: DemandModel, rng: random.Random) -> Realization:
+    """One realization by scanning each pmf and summing masses as it goes."""
+    demands = []
+    for pmf in model.pmfs:
+        u = rng.random()
+        acc = 0.0
+        value = pmf.mass[-1][0]  # guards the u ~ 1.0 float edge
+        for k, p in pmf.mass:
+            acc += p
+            if u < acc:
+                value = k
+                break
+        demands.append(value)
+    load = rng.randrange(1, model.capacity + 1)
+    return Realization(demands=tuple(demands), initial_load=load)

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from treevrpsd import parse_document
+from treevrpsd import parse_instance, parse_document, replication_rng
 from treevrpsd.cli import main
 from treevrpsd.demand import ENUM_LIMIT_ENV
+
+from helpers import linear_scan_realization
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -131,6 +133,26 @@ def test_simulate_seeded_is_reproducible(capsys, corpus_dir):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert out_a.endswith(f"TOTAL {out_a.splitlines()[-1].split()[-1]}\n")
+
+
+def test_simulate_seed_draws_the_linear_scan_realization(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    run_cli(
+        capsys, "gen", "--n", "2000", "--capacity", "10", "--topology", "random-attachment",
+        "--pmf", "unif:1-10", "--seed", "4", "--length-range", "0.5", "2.0", "--out", str(path),
+    )
+    _, model = parse_instance(path.read_text(encoding="utf-8"))
+    seed = 5
+    real = linear_scan_realization(model, replication_rng(seed, 0))
+    for policy in ("split", "unsplit"):
+        args = ["simulate", "--instance", str(path), "--policy", policy]
+        code, seeded, _ = run_cli(capsys, *args, "--seed", str(seed))
+        assert code == 0
+        _, explicit, _ = run_cli(
+            capsys, *args, "--demands", ",".join(map(str, real.demands)),
+            "--load", str(real.initial_load),
+        )
+        assert seeded == explicit
 
 
 def test_simulate_demands_require_load(capsys, corpus_dir):

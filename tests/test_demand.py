@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -28,8 +29,12 @@ from treevrpsd import (
 from treevrpsd.demand import (
     DEFAULT_ENUM_LIMIT,
     ENUM_LIMIT_ENV,
+    NORMALIZATION_TOL,
     resolve_enum_limit,
 )
+from treevrpsd.instance_io import parse_pmf_spec
+
+from helpers import linear_scan_realization
 
 
 def test_make_pmf_sorts_and_accumulates_duplicates():
@@ -68,6 +73,15 @@ def test_expectation_is_exact_on_dyadic_weights():
     assert expectation(pmf) == 2.75
 
 
+def test_mean_is_computed_once_per_pmf():
+    pmf = make_pmf([(1, 0.1), (2, 0.2), (7, 0.7)], capacity=7)
+    assert pmf.mean == math.fsum(k * p for k, p in pmf.mass)
+    assert expectation(pmf) is pmf.mean is pmf.mean
+    # a cached value is no field: equality and hashing see only the mass
+    fresh = make_pmf([(1, 0.1), (2, 0.2), (7, 0.7)], capacity=7)
+    assert fresh == pmf and hash(fresh) == hash(pmf)
+
+
 def test_demand_model_rejects_support_above_capacity():
     good = make_pmf([(2, 1.0)], capacity=4)
     with pytest.raises(OutOfRangeError):
@@ -103,6 +117,48 @@ def test_sample_realization_frequencies_match_weights():
     assert abs(counts[1] / 20_000 - 0.75) < 0.02
     loads = Counter(sample_realization(model, rng).initial_load for _ in range(20_000))
     assert abs(loads[1] / 20_000 - 0.5) < 0.02
+
+
+class ScriptedRng:
+    """Stands in for ``random.Random`` with chosen uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
+
+    def randrange(self, start, stop):
+        return start
+
+
+def test_sampler_matches_linear_scan_oracle():
+    capacity = 10
+    pmfs = [
+        parse_pmf_spec(spec, capacity)
+        for spec in ("det:4", "unif:1-10", "unif:3-5", "two:2,0.3,9", "two:1,0.999,10")
+    ]
+    # running sum ends just below 1.0, and a mass too small to move the sum
+    short = make_pmf([(1, 0.5), (2, 0.5 - NORMALIZATION_TOL / 2)], capacity)
+    flat = make_pmf([(1, 0.5), (2, 1e-17), (3, 0.5)], capacity)
+    pmfs += [short, flat]
+    model = DemandModel(pmfs=tuple(pmfs), capacity=capacity)
+    for seed in (0, 1, 99):
+        for r in range(200):
+            assert sample_realization(model, replication_rng(seed, r)) == (
+                linear_scan_realization(model, replication_rng(seed, r))
+            )
+    # the u ~ 1.0 guard and the exact running sums, uniform by uniform
+    for pmf in pmfs:
+        single = DemandModel(pmfs=(pmf,), capacity=capacity)
+        sums = list(itertools.accumulate(p for _, p in pmf.mass))
+        uniforms = [0.0, math.nextafter(1.0, 0.0), 1.0 - NORMALIZATION_TOL / 4]
+        uniforms += sums + [math.nextafter(s, 0.0) for s in sums]
+        for u in uniforms:
+            got = sample_realization(single, ScriptedRng([u]))
+            assert got == linear_scan_realization(single, ScriptedRng([u])), (pmf, u)
+    short_only = DemandModel(pmfs=(short,), capacity=capacity)
+    assert sample_realization(short_only, ScriptedRng([1.0 - NORMALIZATION_TOL / 4])).demands == (2,)
 
 
 def test_replication_rng_is_reproducible_and_streams_are_distinct():

@@ -26,12 +26,15 @@ from treevrpsd import (
 )
 from treevrpsd.instance_io import (
     GENERATED_PARAMS,
+    TOPOLOGIES,
     WORKED_PARAMS,
     corpus_documents,
     default_name,
     document_from_instance,
     document_to_instance,
 )
+
+from helpers import json_dumps_serialize
 
 E1_TEXT = """
 {
@@ -157,6 +160,70 @@ def test_identical_pmfs_are_built_once():
     with pytest.raises(NotNormalizedError) as info:
         document_to_instance(bad)
     assert str(info.value).startswith("demands[2] (node 3): ")
+
+
+def test_serializer_matches_json_dumps_oracle():
+    docs = corpus_documents()
+    for topology in TOPOLOGIES:
+        for n in (0, 1, 2000):
+            docs.append(generate_document(GeneratorParams(
+                n=n, capacity=10, topology=topology, pmf="unif:1-10", seed=n,
+                length_range=(0.5, 2.0),
+            )))
+    docs.append(dataclasses.replace(docs[0], name='say "hi" \\ caf\u00e9 \u2603'))
+    # json.loads accepts the non-finite spellings; the writer must keep them
+    docs.append(parse_document(
+        '{"name": "odd", "capacity": 3, '
+        '"edges": [[0, 1, NaN], [1, 2, Infinity], [0, 3, -Infinity]], '
+        '"demands": [{"node": 1, "pmf": {"1": NaN}}, '
+        '{"node": 2, "pmf": {"2": Infinity, "1": -0.0}}, '
+        '{"node": 3, "pmf": {"1": 1, "2": 0.0}}]}'
+    ))
+    for doc in docs:
+        assert serialize_document(doc) == json_dumps_serialize(doc), doc.name
+
+
+def _demands_document(*pmfs: str) -> str:
+    listings = ", ".join(
+        f'{{"node": {node}, "pmf": {pmf}}}' for node, pmf in enumerate(pmfs, 1)
+    )
+    return f'{{"name": "x", "capacity": 3, "edges": [], "demands": [{listings}]}}'
+
+
+def test_parse_memo_keeps_value_types_apart():
+    with pytest.raises(SchemaError) as info:
+        parse_document(_demands_document('{"1": 1}', '{"1": true}'))
+    assert str(info.value).startswith("demands[1].pmf")
+
+
+def test_parse_memo_raises_at_first_bad_listing():
+    good, bad = '{"1": 1.0}', '{"x": 1.0}'
+    with pytest.raises(SchemaError) as info:
+        parse_document(_demands_document(good, bad, good, bad))
+    assert str(info.value) == "demands[1].pmf: key 'x' is not an integer"
+    # a listing that cannot be hashed gets the full check and its message
+    with pytest.raises(SchemaError) as info:
+        parse_document(_demands_document(good, '{"1": [1.0]}'))
+    assert str(info.value).startswith("demands[1].pmf['1']: expected a number")
+
+
+def test_parse_memo_keeps_distinct_pmfs_distinct():
+    doc = parse_document(_demands_document(
+        '{"1": 0.5, "2": 0.5}', '{"2": 0.5, "1": 0.5}', '{"1": 0.25, "2": 0.75}',
+        '{"1": 1}', '{"1": 1.0}', '{"1": 0.0, "2": 1.0}', '{"1": -0.0, "2": 1.0}',
+    ))
+    entries = [e for _, e in doc.demands]
+    assert entries[:5] == [
+        ((1, 0.5), (2, 0.5)), ((1, 0.5), (2, 0.5)), ((1, 0.25), (2, 0.75)),
+        ((1, 1.0),), ((1, 1.0),),
+    ]
+    # the sign of a zero survives, as json.loads read it
+    assert [str(e[0][1]) for e in entries[5:]] == ["0.0", "-0.0"]
+
+
+def test_parse_memo_gives_equal_listings_equal_entries():
+    doc = parse_document(_demands_document(*['{"3": 0.5, "1": 0.5}'] * 3))
+    assert [e for _, e in doc.demands] == [((1, 0.5), (3, 0.5))] * 3
 
 
 def test_parse_pmf_spec_families():
