@@ -73,8 +73,6 @@ from .oracle import (
 from .policy import (
     RunTrace,
     WalkGeometry,
-    arithmetic_breakpoints,
-    breakpoint_probability_exact,
     format_trace,
     run_split,
     run_unsplit,
@@ -82,7 +80,6 @@ from .policy import (
 from .tree import (
     TreeInstance,
     build_tree,
-    closed_walk_length,
     check_preorder,
     dfs_order,
     path_distance,
@@ -119,14 +116,11 @@ __all__ = [
     "UnknownVertexError",
     "ValidationError",
     "WalkGeometry",
-    "arithmetic_breakpoints",
     "bertsimas_lb",
     "bound_set",
-    "breakpoint_probability_exact",
     "build_tree",
     "check_preorder",
     "clairvoyant_edge_lb",
-    "closed_walk_length",
     "dfs_order",
     "enumerate_joint",
     "evaluate",

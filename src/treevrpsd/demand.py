@@ -28,6 +28,7 @@ from .errors import (
     NotNormalizedError,
     OutOfRangeError,
     TooLargeError,
+    describe_large_int,
 )
 
 NORMALIZATION_TOL = 1e-12
@@ -121,7 +122,11 @@ def make_pmf(entries: Iterable[tuple[int, float]], capacity: int) -> DemandPMF:
     for k, p in entries:
         if not isinstance(k, int) or isinstance(k, bool):
             raise OutOfRangeError(f"demand value must be an integer, got {k!r}")
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not math.isfinite(p):
+        try:
+            finite = not isinstance(p, bool) and isinstance(p, (int, float)) and math.isfinite(p)
+        except OverflowError:
+            raise NegativeMassError(f"probability for demand {k} is {describe_large_int(p)}") from None
+        if not finite:
             raise NegativeMassError(f"probability for demand {k} must be a finite real, got {p!r}")
         if p < 0:
             raise NegativeMassError(f"negative probability {p!r} at demand {k}")
@@ -159,10 +164,12 @@ class DemandModel:
     def __post_init__(self) -> None:
         if not isinstance(self.capacity, int) or isinstance(self.capacity, bool) or self.capacity < 1:
             raise BadCapacityError(f"capacity must be an integer >= 1, got {self.capacity!r}")
-        for idx, pmf in enumerate(self.pmfs, 1):
+        # once per distinct pmf object, in order of first use
+        for pmf in dict(zip(map(id, self.pmfs), self.pmfs)).values():
             if pmf.mass and pmf.max_value() > self.capacity:
                 raise OutOfRangeError(
-                    f"customer {idx} pmf supports demand {pmf.max_value()} > capacity {self.capacity}"
+                    f"customer {self.pmfs.index(pmf) + 1} pmf supports demand "
+                    f"{pmf.max_value()} > capacity {self.capacity}"
                 )
 
     @property

@@ -7,6 +7,14 @@ generic input-checking code.
 """
 
 
+def describe_large_int(value: int) -> str:
+    """Name an int too large for a float by its digit count, not its digits."""
+    value = abs(value)
+    digits = int(value.bit_length() * 0.30102999566398120) + 1  # log10(2)
+    digits -= value < 10 ** (digits - 1)
+    return f"an integer of {digits} digits, too large for a float"
+
+
 class TreeVrpsdError(Exception):
     """Base class for all library errors."""
 

@@ -28,6 +28,7 @@ from .errors import (
     InstanceSyntaxError,
     SchemaError,
     ValidationError,
+    describe_large_int,
 )
 from .tree import TreeInstance, build_tree, describe_non_permutation
 
@@ -55,29 +56,57 @@ def _require_int(value, where: str) -> int:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: {describe_large_int(value)}") from None
 
 
 _DEMAND_KEYS = frozenset({"node", "pmf"})
 
+# The full checks of one item: they word every message, and the loops in
+# parse_document call them for each item that fails its exact-type test.
 
-def _pmf_entries(pmf_raw: dict, where: str) -> tuple[tuple[int, float], ...]:
-    """Check one raw pmf object; return its (value, probability) pairs sorted."""
+def _checked_edge(item, k: int) -> tuple[int, int, float]:
+    where = f"edges[{k}]"
+    if not isinstance(item, list) or len(item) != 3:
+        raise SchemaError(f"{where}: expected [parent, child, length]")
+    return (
+        _require_int(item[0], f"{where}.parent"),
+        _require_int(item[1], f"{where}.child"),
+        _require_number(item[2], f"{where}.length"),
+    )
+
+
+def _checked_demand(item, k: int) -> tuple[int, tuple[tuple[int, float], ...]]:
+    where = f"demands[{k}]"
+    if not isinstance(item, dict) or item.keys() != _DEMAND_KEYS:
+        raise SchemaError(f"{where}: expected an object with keys node, pmf")
+    node = _require_int(item["node"], f"{where}.node")
+    pmf_raw = item["pmf"]
+    if not isinstance(pmf_raw, dict) or not pmf_raw:
+        raise SchemaError(f"{where}.pmf: expected a non-empty object")
     entries = []
     for key, prob in pmf_raw.items():
         try:
             value = int(key)
         except ValueError:
             raise SchemaError(f"{where}.pmf: key {key!r} is not an integer") from None
-        entries.append((value, _require_number(prob, f"{where}.pmf[{key!r}]")))
-    return tuple(sorted(entries))
+        if type(prob) is not float:
+            prob = _require_number(prob, f"{where}.pmf[{key!r}]")
+        entries.append((value, prob))
+    return node, tuple(sorted(entries))
+
+
+def _shape(pmf_raw: dict) -> tuple[list, list]:
+    return list(pmf_raw), list(map(type, pmf_raw.values()))
 
 
 def parse_document(text: str) -> InstanceDocument:
     """Decode and schema-check one JSON instance document."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: too many digits
         raise InstanceSyntaxError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError(f"top level must be an object, got {type(raw).__name__}")
@@ -95,48 +124,42 @@ def parse_document(text: str) -> InstanceDocument:
         raise SchemaError(f"name: expected a string, got {raw['name']!r}")
     capacity = _require_int(raw["capacity"], "capacity")
 
+    # json.loads yields exact types, so ``type(x) is int`` also excludes bool.
     if not isinstance(raw["edges"], list):
         raise SchemaError("edges: expected an array")
     edges = []
     for k, item in enumerate(raw["edges"]):
-        where = f"edges[{k}]"
-        if not isinstance(item, list) or len(item) != 3:
-            raise SchemaError(f"{where}: expected [parent, child, length]")
-        edges.append(
-            (
-                _require_int(item[0], f"{where}.parent"),
-                _require_int(item[1], f"{where}.child"),
-                _require_number(item[2], f"{where}.length"),
-            )
-        )
+        if type(item) is list and len(item) == 3:
+            p, c, ln = item
+            if type(p) is int and type(c) is int and type(ln) is float:
+                edges.append((p, c, ln))
+                continue
+        edges.append(_checked_edge(item, k))
 
     if not isinstance(raw["demands"], list):
         raise SchemaError("demands: expected an array")
     demands = []
-    # Customers usually repeat one listing: check each distinct one once and
-    # share its entries.  The value types are part of the key so that ``1``
-    # and ``true`` stay apart; an unhashable listing is never valid, and the
-    # full check names it.
-    entries_by_listing: dict[tuple, tuple[tuple[int, float], ...]] = {}
+    # Customers usually repeat one listing.  One that equals the previous
+    # checked listing shares its entries: equal values give equal entries,
+    # except that ``true`` equals 1 and 0.0 equals -0.0, and the sort keeps
+    # the listing's order when two keys name one value.  So a listing with a
+    # zero probability is never shared, and key order and value types are
+    # compared too when a value equals 1 or two keys name one value.
+    last_pmf = last_shape = last_entries = None
     for k, item in enumerate(raw["demands"]):
-        where = f"demands[{k}]"
-        if not isinstance(item, dict) or item.keys() != _DEMAND_KEYS:
-            raise SchemaError(f"{where}: expected an object with keys node, pmf")
-        node = _require_int(item["node"], f"{where}.node")
-        pmf_raw = item["pmf"]
-        if not isinstance(pmf_raw, dict) or not pmf_raw:
-            raise SchemaError(f"{where}.pmf: expected a non-empty object")
-        listing = (tuple(pmf_raw.items()), tuple(map(type, pmf_raw.values())))
-        try:
-            entries = entries_by_listing[listing]
-        except KeyError:
-            entries = _pmf_entries(pmf_raw, where)
-            # 0.0 == -0.0, so a listing with a zero would lend its sign to others
-            if all(p for _, p in entries):
-                entries_by_listing[listing] = entries
-        except TypeError:
-            entries = _pmf_entries(pmf_raw, where)
+        if type(item) is dict and len(item) == 2:
+            node, pmf_raw = item.get("node"), item.get("pmf")
+            if type(node) is int and type(pmf_raw) is dict and pmf_raw == last_pmf and (
+                last_shape is None or last_shape == _shape(pmf_raw)
+            ):
+                demands.append((node, last_entries))
+                continue
+        node, entries = _checked_demand(item, k)
         demands.append((node, entries))
+        if all(p for _, p in entries):
+            last_pmf, last_entries = item["pmf"], entries
+            ambiguous = 1 in last_pmf.values() or len({v for v, _ in entries}) < len(entries)
+            last_shape = _shape(last_pmf) if ambiguous else None
 
     return InstanceDocument(
         name=raw["name"],
@@ -160,20 +183,21 @@ def document_to_instance(doc: InstanceDocument) -> tuple[TreeInstance, DemandMod
         )
     # Generated documents give every customer the same pmf: validate each
     # distinct entries tuple (sorted by parse_document) once and share it.
+    # A customer given the previous customer's entries object skips the hash.
     pmf_by_entries: dict[tuple[tuple[int, float], ...], DemandPMF] = {}
-    pmf_by_node: dict[int, DemandPMF] = {}
+    pmfs: list[DemandPMF | None] = [None] * n
+    last_entries = pmf = None
     for idx, (node, entries) in enumerate(doc.demands):
-        if entries not in pmf_by_entries:
-            try:
-                pmf_by_entries[entries] = make_pmf(entries, doc.capacity)
-            except ValidationError as exc:
-                raise type(exc)(f"demands[{idx}] (node {node}): {exc}") from None
-        pmf_by_node[node] = pmf_by_entries[entries]
-    model = DemandModel(
-        pmfs=tuple(pmf_by_node[node] for node in range(1, n + 1)),
-        capacity=doc.capacity,
-    )
-    return tree, model
+        if entries is not last_entries:
+            last_entries = entries
+            pmf = pmf_by_entries.get(entries)
+            if pmf is None:
+                try:
+                    pmf = pmf_by_entries[entries] = make_pmf(entries, doc.capacity)
+                except ValidationError as exc:
+                    raise type(exc)(f"demands[{idx}] (node {node}): {exc}") from None
+        pmfs[int(node) - 1] = pmf  # a hand-built document may say 2.0 or True
+    return tree, DemandModel(pmfs=tuple(pmfs), capacity=doc.capacity)
 
 
 def parse_instance(text: str) -> tuple[TreeInstance, DemandModel]:

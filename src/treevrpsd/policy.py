@@ -22,9 +22,10 @@ and a deficit-final customer triggers a single round trip that fetches
 just the remainder (split) or the full demand (unsplit).
 
 Whether a customer is a breakpoint depends only on the demand prefix
-sums and the initial load (``arithmetic_breakpoints`` states the
-closed-form condition), which is why the two policies break at the same
-customers with the same stock afterwards.  Averaged over the uniform
+sums and the initial load: customer i breaks iff some restock level
+``l + p*Q`` (p >= 0) lies in (sum of the first i-1 demands, sum of the
+first i].  That is why the two policies break at the same customers
+with the same stock afterwards.  Averaged over the uniform
 initial load l in {1..Q}, each customer is a breakpoint with
 probability exactly q_i/Q.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .demand import Realization
@@ -227,41 +227,6 @@ def format_trace(trace: RunTrace) -> str:
         else:
             lines.append(f"BREAKPOINT {ev[1]} {ev[2]}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def arithmetic_breakpoints(demands: Sequence[int], initial_load: int, capacity: int) -> set[int]:
-    """Breakpoint positions from prefix sums, no simulation.
-
-    ``demands`` is indexed by visiting position.  Position i (1-based)
-    is a breakpoint iff some integer p >= 0 puts the restock level
-    ``initial_load + p*capacity`` inside the half-open prefix interval
-    (sum of the first i-1 demands, sum of the first i].  Exact integer
-    arithmetic throughout.
-    """
-    bps: set[int] = set()
-    prefix = 0
-    for i, q in enumerate(demands, 1):
-        low = prefix
-        prefix += q
-        p = max(0, (low - initial_load) // capacity + 1)
-        if initial_load + p * capacity <= prefix:
-            bps.add(i)
-    return bps
-
-
-def breakpoint_probability_exact(demands: Sequence[int], capacity: int, position: int) -> Fraction:
-    """Exact probability that ``position`` is a breakpoint under uniform l.
-
-    Counts the initial loads in {1..Q} for which
-    :func:`arithmetic_breakpoints` flags the position; the result always
-    equals ``demands[position-1] / capacity``.
-    """
-    hits = sum(
-        1
-        for load in range(1, capacity + 1)
-        if position in arithmetic_breakpoints(demands, load, capacity)
-    )
-    return Fraction(hits, capacity)
 
 
 class WalkGeometry:

@@ -4,14 +4,16 @@ A tree over vertices ``0..n`` is stored as parallel tuples indexed by
 vertex: ``parent[v]`` and ``edge_length[v]`` describe the unique edge
 from ``v`` up to its parent (the depot has no parent edge).  Depot
 distances, depths, a sorted children adjacency, and the total edge
-length ``S`` are precomputed at build time; instances are immutable
-afterwards and safe to share between threads.
+length ``S`` are precomputed at build time, in linear time: one pass
+over the edges checks them and fills the parent pointers, the children
+lists fill in ascending vertex order, and depths and depot distances
+follow top-down from the depot.  Instances are immutable afterwards and
+safe to share between threads.
 
 The a priori visiting order used throughout the library is the
 depth-first preorder with children explored in ascending vertex index.
-``closed_walk_length`` of any valid preorder equals ``2 * S`` up to
-float accumulation: a depth-first walk crosses every edge exactly twice,
-which is the refill-free floor for visiting all customers.
+A depth-first walk crosses every edge exactly twice, so its closed walk
+has length ``2 * S``, the refill-free floor for visiting all customers.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     InvalidOrderError,
     NonpositiveLengthError,
     UnknownVertexError,
+    describe_large_int,
 )
 
 # A visiting order is a permutation of customers 1..n; the depot is
@@ -88,58 +91,67 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
     n = len(edge_list)
     parent = [-1] * (n + 1)
     length = [0.0] * (n + 1)
-    seen_children: set[int] = set()
-
     for p, c, ln in edge_list:
-        if not isinstance(p, int) or not isinstance(c, int) or isinstance(p, bool) or isinstance(c, bool):
-            raise CycleOrForestError(f"vertex names must be integers, got edge ({p!r}, {c!r})")
-        if c == 0:
-            raise CycleOrForestError("the depot (vertex 0) cannot appear as a child")
-        if not (0 <= p <= n) or not (1 <= c <= n):
-            raise CycleOrForestError(
-                f"edge ({p}, {c}) names a vertex outside 0..{n}; vertices must be dense"
-            )
-        if c in seen_children:
-            raise CycleOrForestError(f"vertex {c} appears as a child more than once")
-        seen_children.add(c)
-        if isinstance(ln, bool) or not isinstance(ln, (int, float)) or not math.isfinite(ln) or ln <= 0:
-            raise NonpositiveLengthError(f"edge ({p}, {c}) has non-positive length {ln!r}")
+        # The common edge passes one exact-type test; anything else, valid or
+        # not, takes the full check, which alone words the messages.
+        if not (
+            type(p) is int and type(c) is int and type(ln) is float
+            and 0 <= p <= n and 0 < c <= n and parent[c] < 0 and 0.0 < ln < math.inf
+        ):
+            ln = _checked_edge(p, c, ln, n, parent)
         parent[c] = p
-        length[c] = float(ln)
+        length[c] = ln
 
-    # Each of 1..n appeared exactly once as a child, so every non-depot
-    # vertex has a parent pointer; cycles are the remaining failure mode.
-    depth = [-1] * (n + 1)
-    dist = [0.0] * (n + 1)
-    depth[0] = 0
-    for v in range(1, n + 1):
-        if depth[v] >= 0:
-            continue
-        chain = []
-        u = v
-        while depth[u] < 0:
-            chain.append(u)
-            u = parent[u]
-            if len(chain) > n:
-                raise CycleOrForestError("parent pointers contain a cycle")
-        for w in reversed(chain):
-            depth[w] = depth[parent[w]] + 1
-            dist[w] = dist[parent[w]] + length[w]
-
+    # Each of 1..n appeared exactly once as a child.  The children lists fill
+    # in ascending order; a walk over them from the depot lists the vertices
+    # top-down, and depths and depot distances follow in that order.
     kids: list[list[int]] = [[] for _ in range(n + 1)]
     for v in range(1, n + 1):
         kids[parent[v]].append(v)
+    top_down = [0]
+    for u in top_down:  # grows as the walk goes
+        top_down += kids[u]
+    if len(top_down) <= n:  # the unreached vertices hang off a cycle
+        raise CycleOrForestError("parent pointers contain a cycle")
+    depth = [0] * (n + 1)
+    dist = [0.0] * (n + 1)
+    for v in top_down[1:]:
+        p = parent[v]
+        depth[v] = depth[p] + 1
+        dist[v] = dist[p] + length[v]
 
     return TreeInstance(
         vertex_count=n + 1,
         parent=tuple(parent),
         edge_length=tuple(length),
         capacity=capacity,
-        children=tuple(tuple(sorted(k)) for k in kids),
+        children=tuple(map(tuple, kids)),
         depot_dist=tuple(dist),
         depth=tuple(depth),
         total_edge_length=math.fsum(length),
     )
+
+
+def _checked_edge(p, c, ln, n: int, parent: list[int]) -> float:
+    """Check one edge in full; return its length as a float or raise."""
+    if not isinstance(p, int) or not isinstance(c, int) or isinstance(p, bool) or isinstance(c, bool):
+        raise CycleOrForestError(f"vertex names must be integers, got edge ({p!r}, {c!r})")
+    if c == 0:
+        raise CycleOrForestError("the depot (vertex 0) cannot appear as a child")
+    if not (0 <= p <= n) or not (1 <= c <= n):
+        raise CycleOrForestError(
+            f"edge ({p}, {c}) names a vertex outside 0..{n}; vertices must be dense"
+        )
+    if parent[c] >= 0:
+        raise CycleOrForestError(f"vertex {c} appears as a child more than once")
+    if not isinstance(ln, bool) and isinstance(ln, (int, float)):
+        try:
+            value = float(ln)
+        except OverflowError:
+            raise NonpositiveLengthError(f"edge ({p}, {c}) has length {describe_large_int(ln)}") from None
+        if 0.0 < value < math.inf:
+            return value
+    raise NonpositiveLengthError(f"edge ({p}, {c}) has non-positive length {ln!r}")
 
 
 def _check_vertex(tree: TreeInstance, v: int) -> None:
@@ -217,16 +229,3 @@ def describe_non_permutation(items: Sequence[int], n: int) -> str:
             return f"{v!r} at position {pos} is outside 1..{n} or repeated"
         unseen.remove(v)
     return f"{min(unseen)} is missing ({len(items)} entries)"
-
-
-def closed_walk_length(tree: TreeInstance, order: Sequence[int]) -> float:
-    """Length of the closed walk depot, ``order``..., depot.
-
-    ``order`` must be a valid DFS preorder; for such orders the result
-    equals ``2 * total_edge_length`` up to float accumulation.
-    """
-    check_preorder(tree, order)
-    stops = [0, *order, 0]
-    return math.fsum(
-        path_distance(tree, stops[k], stops[k + 1]) for k in range(len(stops) - 1)
-    )

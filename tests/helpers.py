@@ -13,16 +13,24 @@ import itertools
 import json
 import math
 import random
-from typing import Iterator, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 from treevrpsd import (
+    BadCapacityError,
+    CycleOrForestError,
     DemandModel,
     InstanceDocument,
+    InstanceSyntaxError,
+    NonpositiveLengthError,
     Realization,
+    SchemaError,
     TreeInstance,
     build_tree,
+    check_preorder,
     clairvoyant_edge_lb,
     make_pmf,
+    path_distance,
 )
 
 # Halves are exact in binary, so brute and library sums agree bitwise
@@ -300,3 +308,201 @@ def linear_scan_realization(model: DemandModel, rng: random.Random) -> Realizati
         demands.append(value)
     load = rng.randrange(1, model.capacity + 1)
     return Realization(demands=tuple(demands), initial_load=load)
+
+
+# -- the replaced per-item loading route ------------------------------------------
+
+def outcome(fn, *args) -> tuple[str, str]:
+    """The result's repr, which tells -0.0, 1 and True or an int and an
+    IntEnum apart, or the exception's type name and message."""
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as exc:  # compared with the oracle's outcome
+        return type(exc).__name__, str(exc)
+
+
+def _require_int(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _require_number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def itemwise_parse_document(text: str) -> InstanceDocument:
+    """Decode and schema-check a document one field at a time, every
+    listing checked in full."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceSyntaxError(f"not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SchemaError(f"top level must be an object, got {type(raw).__name__}")
+    expected = {"name", "capacity", "edges", "demands"}
+    missing = expected - raw.keys()
+    extra = raw.keys() - expected
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append(f"missing keys {sorted(missing)}")
+        if extra:
+            parts.append(f"unknown keys {sorted(extra)}")
+        raise SchemaError("; ".join(parts))
+    if not isinstance(raw["name"], str):
+        raise SchemaError(f"name: expected a string, got {raw['name']!r}")
+    capacity = _require_int(raw["capacity"], "capacity")
+
+    if not isinstance(raw["edges"], list):
+        raise SchemaError("edges: expected an array")
+    edges = []
+    for k, item in enumerate(raw["edges"]):
+        where = f"edges[{k}]"
+        if not isinstance(item, list) or len(item) != 3:
+            raise SchemaError(f"{where}: expected [parent, child, length]")
+        edges.append(
+            (
+                _require_int(item[0], f"{where}.parent"),
+                _require_int(item[1], f"{where}.child"),
+                _require_number(item[2], f"{where}.length"),
+            )
+        )
+
+    if not isinstance(raw["demands"], list):
+        raise SchemaError("demands: expected an array")
+    demands = []
+    for k, item in enumerate(raw["demands"]):
+        where = f"demands[{k}]"
+        if not isinstance(item, dict) or set(item.keys()) != {"node", "pmf"}:
+            raise SchemaError(f"{where}: expected an object with keys node, pmf")
+        node = _require_int(item["node"], f"{where}.node")
+        pmf_raw = item["pmf"]
+        if not isinstance(pmf_raw, dict) or not pmf_raw:
+            raise SchemaError(f"{where}.pmf: expected a non-empty object")
+        entries = []
+        for key, prob in pmf_raw.items():
+            try:
+                value = int(key)
+            except ValueError:
+                raise SchemaError(f"{where}.pmf: key {key!r} is not an integer") from None
+            entries.append((value, _require_number(prob, f"{where}.pmf[{key!r}]")))
+        demands.append((node, tuple(sorted(entries))))
+
+    return InstanceDocument(
+        name=raw["name"], capacity=capacity, edges=tuple(edges), demands=tuple(demands)
+    )
+
+
+def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeInstance:
+    """Build a tree with full checks on every edge, depths by parent-chain
+    walks, and each children list sorted."""
+    if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
+        raise BadCapacityError(f"capacity must be an integer >= 1, got {capacity!r}")
+
+    edge_list = list(edges)
+    n = len(edge_list)
+    parent = [-1] * (n + 1)
+    length = [0.0] * (n + 1)
+    seen_children: set[int] = set()
+
+    for p, c, ln in edge_list:
+        if not isinstance(p, int) or not isinstance(c, int) or isinstance(p, bool) or isinstance(c, bool):
+            raise CycleOrForestError(f"vertex names must be integers, got edge ({p!r}, {c!r})")
+        if c == 0:
+            raise CycleOrForestError("the depot (vertex 0) cannot appear as a child")
+        if not (0 <= p <= n) or not (1 <= c <= n):
+            raise CycleOrForestError(
+                f"edge ({p}, {c}) names a vertex outside 0..{n}; vertices must be dense"
+            )
+        if c in seen_children:
+            raise CycleOrForestError(f"vertex {c} appears as a child more than once")
+        seen_children.add(c)
+        if isinstance(ln, bool) or not isinstance(ln, (int, float)) or not math.isfinite(ln) or ln <= 0:
+            raise NonpositiveLengthError(f"edge ({p}, {c}) has non-positive length {ln!r}")
+        parent[c] = p
+        length[c] = float(ln)
+
+    depth = [-1] * (n + 1)
+    dist = [0.0] * (n + 1)
+    depth[0] = 0
+    for v in range(1, n + 1):
+        if depth[v] >= 0:
+            continue
+        chain = []
+        u = v
+        while depth[u] < 0:
+            chain.append(u)
+            u = parent[u]
+            if len(chain) > n:
+                raise CycleOrForestError("parent pointers contain a cycle")
+        for w in reversed(chain):
+            depth[w] = depth[parent[w]] + 1
+            dist[w] = dist[parent[w]] + length[w]
+
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    for v in range(1, n + 1):
+        kids[parent[v]].append(v)
+
+    return TreeInstance(
+        vertex_count=n + 1,
+        parent=tuple(parent),
+        edge_length=tuple(length),
+        capacity=capacity,
+        children=tuple(tuple(sorted(k)) for k in kids),
+        depot_dist=tuple(dist),
+        depth=tuple(depth),
+        total_edge_length=math.fsum(length),
+    )
+
+
+# -- second routes to the walk and breakpoint laws ----------------------------------
+
+def closed_walk_length(tree: TreeInstance, order: Sequence[int]) -> float:
+    """Length of the closed walk depot, ``order``..., depot.
+
+    ``order`` must be a valid DFS preorder; for such orders the result
+    equals ``2 * total_edge_length`` up to float accumulation.
+    """
+    check_preorder(tree, order)
+    stops = [0, *order, 0]
+    return math.fsum(
+        path_distance(tree, stops[k], stops[k + 1]) for k in range(len(stops) - 1)
+    )
+
+
+def arithmetic_breakpoints(demands: Sequence[int], initial_load: int, capacity: int) -> set[int]:
+    """Breakpoint positions from prefix sums, no simulation.
+
+    ``demands`` is indexed by visiting position.  Position i (1-based)
+    is a breakpoint iff some integer p >= 0 puts the restock level
+    ``initial_load + p*capacity`` inside the half-open prefix interval
+    (sum of the first i-1 demands, sum of the first i].  Exact integer
+    arithmetic throughout.
+    """
+    bps: set[int] = set()
+    prefix = 0
+    for i, q in enumerate(demands, 1):
+        low = prefix
+        prefix += q
+        p = max(0, (low - initial_load) // capacity + 1)
+        if initial_load + p * capacity <= prefix:
+            bps.add(i)
+    return bps
+
+
+def breakpoint_probability_exact(demands: Sequence[int], capacity: int, position: int) -> Fraction:
+    """Exact probability that ``position`` is a breakpoint under uniform l.
+
+    Counts the initial loads in {1..Q} for which
+    :func:`arithmetic_breakpoints` flags the position; the result always
+    equals ``demands[position-1] / capacity``.
+    """
+    hits = sum(
+        1
+        for load in range(1, capacity + 1)
+        if position in arithmetic_breakpoints(demands, load, capacity)
+    )
+    return Fraction(hits, capacity)

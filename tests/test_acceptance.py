@@ -19,10 +19,8 @@ import pytest
 from treevrpsd import (
     Realization,
     bound_set,
-    breakpoint_probability_exact,
     build_tree,
     clairvoyant_edge_lb,
-    closed_walk_length,
     dfs_order,
     enumerate_joint,
     exact_expected_cost,
@@ -37,6 +35,8 @@ from treevrpsd.policy import WalkGeometry
 
 from conftest import load_corpus_instance
 from helpers import (
+    breakpoint_probability_exact,
+    closed_walk_length,
     independent_expected_cost,
     pmf_dicts,
     random_edges,

@@ -336,6 +336,38 @@ def test_report_partial_failure(tmp_path, capsys, corpus_dir):
     assert [row["instance"] for row in rows] == ["E1", "E1"]
 
 
+HUGE_LENGTH_DOC = (
+    '{"name": "huge", "capacity": 2, "edges": [[0, 1, ' + "1" + "0" * 400 + ']], '
+    '"demands": [{"node": 1, "pmf": {"1": 1.0}}]}'
+)
+
+
+def test_huge_integer_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_LENGTH_DOC, encoding="utf-8")
+    code, _, stderr = run_cli(capsys, "bounds", "--instance", str(path))
+    assert code == 2
+    assert "edges[0].length: an integer of 401 digits, too large for a float" in stderr
+    assert len(stderr) < 200
+
+
+def test_report_lists_a_huge_integer_instance_as_failed(tmp_path, capsys, corpus_dir):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "E1.json").write_text(
+        (corpus_dir / "E1.json").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    (mixed / "huge.json").write_text(HUGE_LENGTH_DOC, encoding="utf-8")
+    out_csv = tmp_path / "report.csv"
+    code, _, stderr = run_cli(
+        capsys, "report", "--corpus-dir", str(mixed), "--out-csv", str(out_csv)
+    )
+    assert code == 1
+    assert "error: huge.json: edges[0].length: an integer of 401 digits" in stderr
+    rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert [row["instance"] for row in rows] == ["E1", "E1"]
+
+
 def test_report_missing_directory_exits_2(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "report", "--corpus-dir", str(tmp_path / "missing"),
@@ -368,3 +400,22 @@ def test_benchmark_tracer_finds_every_traced_name():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracing.Tracer()
+
+
+def test_scale_script_imports_resolve():
+    # perfbench/scale.py imports program names directly; a move such as a
+    # function leaving src/ for tests/helpers.py must not break it silently.
+    import ast
+    import importlib
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "scale.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("treevrpsd")
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"

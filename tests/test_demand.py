@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from treevrpsd import (
     BadParamsError,
     DemandModel,
+    DemandPMF,
     MassAtZeroError,
     NegativeMassError,
     NotNormalizedError,
@@ -86,6 +87,30 @@ def test_demand_model_rejects_support_above_capacity():
     good = make_pmf([(2, 1.0)], capacity=4)
     with pytest.raises(OutOfRangeError):
         DemandModel(pmfs=(good,), capacity=1)
+
+
+def test_demand_model_checks_each_distinct_pmf_once(monkeypatch):
+    calls = []
+    original = DemandPMF.max_value
+    monkeypatch.setattr(DemandPMF, "max_value", lambda pmf: calls.append(pmf) or original(pmf))
+    shared, other = make_pmf([(2, 1.0)], capacity=4), make_pmf([(3, 1.0)], capacity=4)
+    DemandModel(pmfs=(shared, other) * 500, capacity=4)
+    assert calls == [shared, other]
+    # the message still names the first customer whose pmf is too wide,
+    # also when an equal pmf object comes first
+    equal_copy = make_pmf([(3, 1.0)], capacity=4)
+    low = make_pmf([(1, 1.0)], capacity=4)
+    for pmfs, customer in [((low, other, shared, other), 2), ((low, equal_copy, other), 2)]:
+        with pytest.raises(OutOfRangeError) as info:
+            DemandModel(pmfs=pmfs, capacity=2)
+        assert str(info.value) == f"customer {customer} pmf supports demand 3 > capacity 2"
+
+
+def test_make_pmf_names_huge_integer_probabilities():
+    for p in (10**400, -(10**400)):
+        with pytest.raises(NegativeMassError) as info:
+            make_pmf([(1, p)], capacity=2)
+        assert str(info.value) == "probability for demand 1 is an integer of 401 digits, too large for a float"
 
 
 def test_point_model():

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import inspect
 import json
+import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,10 +14,12 @@ import pytest
 from treevrpsd import (
     BadParamsError,
     CycleOrForestError,
+    DemandModel,
     GeneratorParams,
     InstanceSyntaxError,
     NotNormalizedError,
     SchemaError,
+    build_tree,
     generate,
     generate_document,
     make_pmf,
@@ -34,7 +40,7 @@ from treevrpsd.instance_io import (
     document_to_instance,
 )
 
-from helpers import json_dumps_serialize
+from helpers import itemwise_build_tree, itemwise_parse_document, json_dumps_serialize, outcome
 
 E1_TEXT = """
 {
@@ -224,6 +230,204 @@ def test_parse_memo_keeps_distinct_pmfs_distinct():
 def test_parse_memo_gives_equal_listings_equal_entries():
     doc = parse_document(_demands_document(*['{"3": 0.5, "1": 0.5}'] * 3))
     assert [e for _, e in doc.demands] == [((1, 0.5), (3, 0.5))] * 3
+
+
+def _descendants(edges: list, v: int) -> list[int]:
+    """Vertices whose parent chain reaches ``v`` (``v`` included)."""
+    parent = {c: p for p, c, _ in edges}
+    below = []
+    for u in parent:
+        w = u
+        for _ in range(len(parent)):  # an earlier mutation may have made a cycle
+            if w == v or w not in parent:
+                break
+            w = parent[w]
+        if w == v:
+            below.append(u)
+    return below
+
+
+def _mutate(raw: dict, rng: random.Random) -> None:
+    """Apply one seeded defect (or a valid variation) to a raw document."""
+    edges, demands = raw["edges"], raw["demands"]
+    n = len(edges)
+    kind = rng.randrange(12)
+    if kind == 0:  # a bool, float or other non-int where a vertex belongs
+        rng.choice(edges)[rng.randrange(2)] = rng.choice([True, False, 1.0, 2.5, "1", None])
+    elif kind == 1:  # an out-of-range or depot vertex
+        rng.choice(edges)[rng.randrange(2)] = rng.choice([n + 1, n + 50, -1, 0])
+    elif kind == 2:  # a bad, odd or valid-but-int length
+        rng.choice(edges)[2] = rng.choice(
+            [-0.0, 0.0, 0, math.nan, math.inf, -math.inf, -1.5, 2, True, "1.0", None, [1.0], 10**30]
+        )
+    elif kind == 3:  # a duplicate child
+        rng.choice(edges)[1] = rng.choice(edges)[1]
+    elif kind == 4:  # a cycle: hang a vertex below itself
+        edge = rng.choice(edges)
+        edge[0] = rng.choice(_descendants(edges, edge[1]))
+    elif kind == 5:  # a misshapen edge
+        k = rng.randrange(n)
+        edges[k] = rng.choice([edges[k][:2], edges[k] + [1.0], {"p": 0}, "edge", None])
+    elif kind == 6:  # a misshapen demand or node
+        item = rng.choice([demands[0], rng.choice(demands)])
+        choice = rng.randrange(5)
+        if choice == 0:
+            item["node"] = rng.choice([True, 1.0, "1", None, n + 1, 0])
+        elif choice == 1:
+            del item[rng.choice(["node", "pmf"])]
+        elif choice == 2:
+            item["extra"] = 1
+        elif choice == 3:  # two keys, one of them misspelt
+            key = rng.choice(["node", "pmf"])
+            item[key + "s"] = item.pop(key)
+        else:
+            demands[demands.index(item)] = rng.choice([[1, {}], None, "x"])
+    elif kind == 7:  # a bad pmf object, key or probability
+        pmf = rng.choice(demands)["pmf"]
+        choice = rng.randrange(3)
+        if choice == 0:
+            rng.choice(demands)["pmf"] = rng.choice([{}, [], None, 0.5])
+        elif choice == 1:
+            pmf[rng.choice(["x", "01", " 2", "1.5", "-1", "0"])] = rng.choice([0.5, 0.0, -0.0])
+        else:
+            pmf[rng.choice(list(pmf))] = rng.choice(
+                [1, True, 1.0, [0.5], {"a": 1}, "0.5", math.nan, -0.0, 0, 10**30, None]
+            )
+    elif kind in (8, 9):  # a listing equal to the previous one but for types or order
+        k = rng.randrange(1, len(demands))
+        first, second = demands[k - 1], demands[k]
+        listing = rng.choice([
+            {"1": 1.0}, {"1": 0.5, "2": 0.5}, {"1": math.nan, "01": 0.5}, {"2": 0.25, "1": 0.75},
+            {"2": 1.0, "1": 0.0},
+        ])
+        first["pmf"] = dict(listing)
+        keys = list(listing)
+        if kind == 8:
+            second["pmf"] = {key: rng.choice([listing[key], -listing[key], 1, True, 1.0]) for key in keys}
+        else:
+            second["pmf"] = {key: listing[key] for key in reversed(keys)}
+    elif kind == 10:  # a bad capacity or name
+        key = rng.choice(["capacity", "name"])
+        raw[key] = rng.choice([True, 1.0, 0, -1, 7, None, "3"])
+    else:  # top-level keys
+        if rng.random() < 0.5:
+            del raw[rng.choice(list(raw))]
+        else:
+            raw["extra"] = []
+
+
+def _oracle_texts() -> list[str]:
+    texts = [serialize_document(doc) for doc in corpus_documents()]
+    for topology in TOPOLOGIES:
+        for n in (0, 1, 2000):
+            texts.append(serialize_document(generate_document(GeneratorParams(
+                n=n, capacity=10, topology=topology, pmf="unif:1-10", seed=n,
+                length_range=(0.5, 2.0),
+            ))))
+    rng = random.Random(2024)
+    bases = [
+        serialize_document(generate_document(GeneratorParams(
+            n=12, capacity=4, topology=topology, pmf=pmf, seed=7, length_range=(0.5, 2.0),
+        )))
+        for topology in TOPOLOGIES for pmf in ("unif:1-3", "two:1,0.5,4", "det:1")
+    ]
+    for _ in range(1500):
+        raw = json.loads(rng.choice(bases))
+        for _ in range(rng.choice([1, 1, 1, 2, 3])):
+            # a later defect may not apply once an earlier one broke the shape
+            with contextlib.suppress(LookupError, TypeError, ValueError, AttributeError):
+                _mutate(raw, rng)
+        texts.append(json.dumps(raw, indent=rng.choice([None, 2])))
+    return texts
+
+
+def test_load_matches_itemwise_oracle():
+    seen = set()
+    for text in _oracle_texts():
+        parsed = outcome(parse_document, text)
+        assert parsed == outcome(itemwise_parse_document, text), text
+        seen.add(parsed[0])
+        if parsed[0] == "ok":
+            doc = parse_document(text)
+            tree = outcome(build_tree, doc.edges, doc.capacity)
+            assert tree == outcome(itemwise_build_tree, doc.edges, doc.capacity), text
+            seen.add(tree[0])
+    # the mutations reach every family of outcome
+    assert {"ok", "SchemaError", "CycleOrForestError", "NonpositiveLengthError", "BadCapacityError"} <= seen
+
+
+def test_model_is_filled_by_node_in_any_document_order():
+    doc = parse_document(_demands_document('{"1": 1.0}', '{"2": 1.0}', '{"3": 1.0}'))
+    doc = dataclasses.replace(doc, edges=((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
+    shuffled = dataclasses.replace(doc, demands=tuple(reversed(doc.demands)))
+    _, model = document_to_instance(shuffled)
+    assert [pmf.mass for pmf in model.pmfs] == [((1, 1.0),), ((2, 1.0),), ((3, 1.0),)]
+    assert document_to_instance(doc) == document_to_instance(shuffled)
+    # a hand-built document may name a node by an equal float or bool
+    odd = dataclasses.replace(shuffled, demands=tuple(
+        (name, entries) for name, (_, entries) in zip((3.0, 2, True), shuffled.demands)
+    ))
+    assert document_to_instance(odd) == document_to_instance(doc)
+
+
+def test_huge_integers_are_schema_errors():
+    big = 10**400
+    for edges, pmf, field in [
+        (f"[[0, 1, {big}]]", '{"1": 1.0}', "edges[0].length"),
+        ("[[0, 1, 1.0]]", f'{{"1": {big}}}', "demands[0].pmf['1']"),
+    ]:
+        text = (
+            f'{{"name": "x", "capacity": 2, "edges": {edges}, '
+            f'"demands": [{{"node": 1, "pmf": {pmf}}}]}}'
+        )
+        with pytest.raises(SchemaError) as info:
+            parse_document(text)
+        assert str(info.value) == f"{field}: an integer of 401 digits, too large for a float"
+    # past the digit limit of int(), and nested past the recursion limit
+    with pytest.raises(InstanceSyntaxError) as info:
+        parse_document('{"name": "x", "capacity": ' + "9" * 5000 + "}")
+    assert "4300 digits" in str(info.value) and len(str(info.value)) < 200
+    with pytest.raises(InstanceSyntaxError):
+        parse_document("[" * 100_000)
+
+
+def _call_within(extra_frames: int, fn, *args):
+    """Run ``fn`` with the recursion limit ``extra_frames`` above the caller."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + extra_frames)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_path_loads_linearly_without_recursion():
+    n = 100_000
+    rng = random.Random(5)
+    lengths = [rng.uniform(0.5, 2.0) for _ in range(n)]
+    text = json.dumps({
+        "name": "deep", "capacity": 3,
+        "edges": [[v - 1, v, lengths[v - 1]] for v in range(1, n + 1)],
+        "demands": [{"node": v, "pmf": {"1": 0.5, "3": 0.5}} for v in range(1, n + 1)],
+    })
+    tree, model = _call_within(60, lambda: document_to_instance(parse_document(text)))
+    assert tree.depth == tuple(range(n + 1))
+    running, dist = 0.0, [0.0]
+    for length in lengths:
+        running += length
+        dist.append(running)
+    assert tree.depot_dist == tuple(dist)
+    assert all(pmf is model.pmfs[0] for pmf in model.pmfs)
+
+    # a parent cycle through every customer that the depot cannot reach
+    cycle = json.dumps({
+        "name": "cycle", "capacity": 3,
+        "edges": [[v % n + 1, v, 1.0] for v in range(1, n + 1)],
+        "demands": [{"node": v, "pmf": {"1": 1.0}} for v in range(1, n + 1)],
+    })
+    with pytest.raises(CycleOrForestError) as info:
+        _call_within(60, lambda: document_to_instance(parse_document(cycle)))
+    assert str(info.value) == "edges: parent pointers contain a cycle"
 
 
 def test_parse_pmf_spec_families():

@@ -13,8 +13,6 @@ from treevrpsd import (
     InconsistentRealizationError,
     Realization,
     WalkGeometry,
-    arithmetic_breakpoints,
-    breakpoint_probability_exact,
     build_tree,
     dfs_order,
     format_trace,
@@ -24,7 +22,9 @@ from treevrpsd import (
 from treevrpsd.policy import POLICIES, trace_tours
 
 from helpers import (
+    arithmetic_breakpoints,
     assert_trace_matches_naive,
+    breakpoint_probability_exact,
     brute_distances,
     naive_policy_cost,
     random_edges,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +16,18 @@ from treevrpsd import (
     UnknownVertexError,
     build_tree,
     check_preorder,
-    closed_walk_length,
     dfs_order,
     path_distance,
 )
 from treevrpsd.tree import depot_distance, lowest_common_ancestor
 
-from helpers import brute_distances, random_edges
+from helpers import (
+    brute_distances,
+    closed_walk_length,
+    itemwise_build_tree,
+    outcome,
+    random_edges,
+)
 
 PATH3 = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)]
 
@@ -60,6 +66,47 @@ def test_build_tree_rejects_bad_inputs():
         build_tree([(0, 1, 1.0), (3, 2, 1.0), (2, 3, 1.0)], capacity=2)
     with pytest.raises(CycleOrForestError):
         build_tree([(1, 0, 1.0)], capacity=2)
+
+
+class Vertex(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class Length(float):
+    pass
+
+
+def test_build_tree_matches_itemwise_oracle():
+    cases = [
+        [(0, 1, 2), (1, 2, 3)],  # int lengths are stored as floats
+        [(0, Vertex.ONE, 1.0), (Vertex.ONE, Vertex.TWO, 1.5)],
+        [(0, 2, Length(1.0)), (0, 1, 2.0)],
+        [(0, 1, True)], [(False, 1, 1.0)], [(0, True, 1.0)], [(0, 1.0, 1.0)],
+        [("0", 1, 1.0)], [(None, 1, 1.0)], [(0, 1, "1.0")], [(0, 1, None)],
+        [(0, 1, 1.0), (1, 1, 1.0)], [(0, 2, 1.0), (2, 1, 1.0), (1, 2, 1.0)],
+        [(1, 1, 1.0)], [(0, 0, 1.0)], [(3, 1, 1.0)], [(-1, 1, 1.0)],
+    ]
+    cases += [[(0, 1, length)] for length in (math.nan, math.inf, -math.inf, -0.0, 0.0, 0, -1, 1e-300)]
+    rng = random.Random(15)
+    for _ in range(200):
+        edges = random_edges(rng, rng.randint(0, 30))
+        rng.shuffle(edges)
+        cases.append(edges)
+    for edges in cases:
+        want = outcome(itemwise_build_tree, edges, 2)
+        assert outcome(build_tree, edges, 2) == want, edges
+        assert outcome(build_tree, iter(edges), 2) == want, edges
+    tree = build_tree((e for e in [(0, 1, 2), (1, 2, 3)]), capacity=2)
+    assert tree.edge_length == (0.0, 2.0, 3.0)
+    assert all(type(x) is float for x in tree.edge_length + tree.depot_dist)
+
+
+def test_build_tree_names_huge_integer_lengths():
+    for length in (10**400, -(10**400)):
+        with pytest.raises(NonpositiveLengthError) as info:
+            build_tree([(0, 1, 1.0), (1, 2, length)], capacity=2)
+        assert str(info.value) == "edge (1, 2) has length an integer of 401 digits, too large for a float"
 
 
 def test_empty_tree_is_allowed():
