@@ -21,7 +21,6 @@ from .demand import (
     DemandPMF,
     Realization,
     enumerate_joint,
-    expectation,
     joint_support_size,
     make_pmf,
     point_model,
@@ -125,7 +124,6 @@ __all__ = [
     "enumerate_joint",
     "evaluate",
     "exact_expected_cost",
-    "expectation",
     "expected_clairvoyant_lb",
     "format_trace",
     "generate",

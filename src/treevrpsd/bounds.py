@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .demand import DemandModel, expectation
+from .demand import DemandModel
 from .errors import InconsistentRealizationError
 from .policy import RunTrace, trace_tours
 from .tree import TreeInstance
@@ -45,7 +45,7 @@ def tour_floor(tree: TreeInstance) -> float:
 def bertsimas_lb(tree: TreeInstance, model: DemandModel) -> float:
     """Demand-weighted radial bound (2/Q) * sum_i d(0,i) * E[demand_i]."""
     return (2.0 / tree.capacity) * math.fsum(
-        tree.depot_dist[i] * expectation(pmf)
+        tree.depot_dist[i] * pmf.mean
         for i, pmf in enumerate(model.pmfs, 1)
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import Sequence
 from .bounds import bound_set
 from .demand import Realization, replication_rng, sample_realization
 from .errors import BadParamsError, TooLargeError, ValidationError
-from .evaluator import EXACT, MONTE_CARLO, EvalReport, evaluate
+from .evaluator import EXACT, MONTE_CARLO, EvalReport, evaluate, walk_geometry
 from .instance_io import (
     TOPOLOGIES,
     GeneratorParams,
@@ -171,22 +172,27 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _evaluate_rows(doc, tree, model) -> list[dict]:
+    # Both policy rows read one geometry, one bound set and one edge bound.
+    geometry = walk_geometry(tree)
+    bounds = bound_set(tree, model)
+    edge_lb = expected_clairvoyant_lb(tree, model, mode=EDGE)
     rows = []
     for policy in POLICIES:
-        report = evaluate(tree, model, policy=policy, mode=EXACT, instance_id=doc.name)
+        report = evaluate(
+            tree, model, policy=policy, mode=EXACT, instance_id=doc.name,
+            geometry=geometry, bounds=bounds,
+        )
         row = _report_payload(report)
         # The per-realization optimum is unsplit-shaped, so its partition
         # oracle bounds only the unsplit policy; the edge bound holds for
         # both.  Only the partition oracle enumerates, and an instance
         # over the enumeration limit leaves its cell empty.
+        clair = edge_lb
         if policy == UNSPLIT and tree.n_customers <= PARTITION_MAX_CUSTOMERS:
-            clair_mode = PARTITION
-        else:
-            clair_mode = EDGE
-        try:
-            clair = expected_clairvoyant_lb(tree, model, mode=clair_mode)
-        except TooLargeError:
-            clair = None
+            try:
+                clair = expected_clairvoyant_lb(tree, model, mode=PARTITION)
+            except TooLargeError:
+                clair = None
         row["clairvoyant_lb"] = clair
         if clair is None:
             row["sharpened_ratio"] = None
@@ -251,7 +257,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves no
+    state in it; building it takes about a millisecond)."""
     parser = argparse.ArgumentParser(
         prog="treevrpsd",
         description="Vehicle routing with stochastic demands on tree networks.",

@@ -28,6 +28,7 @@ from .errors import (
     NotNormalizedError,
     OutOfRangeError,
     TooLargeError,
+    describe_int,
     describe_large_int,
 )
 
@@ -125,13 +126,17 @@ def make_pmf(entries: Iterable[tuple[int, float]], capacity: int) -> DemandPMF:
         try:
             finite = not isinstance(p, bool) and isinstance(p, (int, float)) and math.isfinite(p)
         except OverflowError:
-            raise NegativeMassError(f"probability for demand {k} is {describe_large_int(p)}") from None
+            raise NegativeMassError(
+                f"probability for demand {describe_int(k)} is {describe_large_int(p)}"
+            ) from None
         if not finite:
-            raise NegativeMassError(f"probability for demand {k} must be a finite real, got {p!r}")
+            raise NegativeMassError(
+                f"probability for demand {describe_int(k)} must be a finite real, got {p!r}"
+            )
         if p < 0:
-            raise NegativeMassError(f"negative probability {p!r} at demand {k}")
+            raise NegativeMassError(f"negative probability {p!r} at demand {describe_int(k)}")
         if k < 0 or k > capacity:
-            raise OutOfRangeError(f"demand {k} outside 0..{capacity}")
+            raise OutOfRangeError(f"demand {describe_int(k)} outside 0..{describe_int(capacity)}")
         if k == 0:
             if p > 0:
                 raise MassAtZeroError("positive probability at demand 0 is not allowed")
@@ -147,11 +152,6 @@ def make_pmf(entries: Iterable[tuple[int, float]], capacity: int) -> DemandPMF:
     if abs(total_mass - 1.0) > NORMALIZATION_TOL:
         raise NotNormalizedError(f"pmf mass sums to {total_mass!r}, expected 1 within {NORMALIZATION_TOL}")
     return DemandPMF(mass=items)
-
-
-def expectation(pmf: DemandPMF) -> float:
-    """Exact mean of the demand (computed once per pmf object)."""
-    return pmf.mean
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,17 @@ def describe_large_int(value: int) -> str:
     return f"an integer of {digits} digits, too large for a float"
 
 
+def describe_int(value: int) -> str:
+    """An int as messages show it: in full, or by its digit count in angle
+    brackets when a float cannot hold it (a document may carry thousands
+    of digits)."""
+    try:
+        float(value)
+    except OverflowError:
+        return f"<{describe_large_int(value)}>"
+    return f"{value}"
+
+
 class TreeVrpsdError(Exception):
     """Base class for all library errors."""
 

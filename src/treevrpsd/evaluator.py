@@ -26,7 +26,6 @@ from .demand import (
     DemandModel,
     Realization,
     enumerate_joint,
-    expectation,
     format_count,
     joint_support_size,
     replication_rng,
@@ -76,11 +75,19 @@ def _check_policy(policy: str) -> None:
         raise BadParamsError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
+def walk_geometry(tree: TreeInstance, order: VisitOrder | None = None) -> WalkGeometry:
+    """The :class:`~treevrpsd.policy.WalkGeometry` of ``order``, by
+    default the depth-first preorder."""
+    return WalkGeometry(tree, dfs_order(tree) if order is None else order)
+
+
 def exact_expected_cost(
     tree: TreeInstance,
     model: DemandModel,
     policy: str,
     order: VisitOrder | None = None,
+    *,
+    geometry: WalkGeometry | None = None,
 ) -> float:
     """Exact expectation over the demands and the uniform initial load.
 
@@ -88,15 +95,17 @@ def exact_expected_cost(
     + (E[D_i] - 1)/Q * deficit_detour[policy]_i]`` over the fields of
     :class:`~treevrpsd.policy.WalkGeometry`, which alone states how the
     policies' deficit detours differ.  Linear in the number of
-    customers; nothing is enumerated, so there is no size limit.
+    customers; nothing is enumerated, so there is no size limit.  A
+    ``geometry`` already built for ``tree`` and ``order`` is used as is.
     """
     _check_policy(policy)
-    geometry = WalkGeometry(tree, dfs_order(tree) if order is None else order)
+    if geometry is None:
+        geometry = walk_geometry(tree, order)
     capacity = tree.capacity
     deficit_detour = geometry.deficit_detour[policy]
     terms = [geometry.base_length]
     for i, di in enumerate(geometry.demand_index):
-        deficit_mass = expectation(model.pmfs[di]) - 1.0
+        deficit_mass = model.pmfs[di].mean - 1.0
         terms.append(geometry.reroute_extra[i] / capacity)
         terms.append(deficit_mass * deficit_detour[i] / capacity)
     return math.fsum(terms)
@@ -109,16 +118,20 @@ def monte_carlo_cost(
     samples: int,
     master_seed: int,
     order: VisitOrder | None = None,
+    *,
+    geometry: WalkGeometry | None = None,
 ) -> Estimate:
     """Sample-mean estimate of the expected walk cost.
 
     Replication r draws its realization from ``replication_rng(
     master_seed, r)``; the estimate is a pure function of the arguments.
+    A ``geometry`` already built for ``tree`` and ``order`` is used as is.
     """
     _check_policy(policy)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         raise BadParamsError(f"samples must be an integer >= 2, got {samples!r}")
-    geometry = WalkGeometry(tree, dfs_order(tree) if order is None else order)
+    if geometry is None:
+        geometry = walk_geometry(tree, order)
     cost = geometry.split_cost if policy == SPLIT else geometry.unsplit_cost
     costs = []
     for r in range(samples):
@@ -147,24 +160,31 @@ def evaluate(
     master_seed: int = 0,
     instance_id: str = "",
     order: VisitOrder | None = None,
+    geometry: WalkGeometry | None = None,
+    bounds: BoundSet | None = None,
 ) -> EvalReport:
     """Assemble an :class:`EvalReport` for one (instance, policy) pair.
 
     ``mode`` is ``"exact"`` or ``"monte_carlo"`` (``"mc"`` accepted).
     The ratio convention for a depot-only instance (combined_lb = 0) is
-    1.0.
+    1.0.  ``geometry`` (of ``order``) and ``bounds`` are built unless
+    given, so callers evaluating both policies of an instance build them
+    once.
     """
     _check_policy(policy)
-    bounds = bound_set(tree, model)
+    if mode not in (EXACT, MONTE_CARLO, "mc"):
+        raise BadParamsError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
+    if geometry is None:
+        geometry = walk_geometry(tree, order)
+    if bounds is None:
+        bounds = bound_set(tree, model)
     estimate = None
     if mode == EXACT:
-        expected = exact_expected_cost(tree, model, policy, order=order)
-    elif mode in (MONTE_CARLO, "mc"):
-        mode = MONTE_CARLO
-        estimate = monte_carlo_cost(tree, model, policy, samples, master_seed, order=order)
-        expected = estimate.mean
+        expected = exact_expected_cost(tree, model, policy, geometry=geometry)
     else:
-        raise BadParamsError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
+        mode = MONTE_CARLO
+        estimate = monte_carlo_cost(tree, model, policy, samples, master_seed, geometry=geometry)
+        expected = estimate.mean
     formula_ub = bounds.split_ub if policy == SPLIT else bounds.unsplit_ub
     ratio = expected / bounds.combined_lb if bounds.combined_lb > 0 else 1.0
     return EvalReport(

@@ -123,6 +123,7 @@ def parse_document(text: str) -> InstanceDocument:
     if not isinstance(raw["name"], str):
         raise SchemaError(f"name: expected a string, got {raw['name']!r}")
     capacity = _require_int(raw["capacity"], "capacity")
+    _require_number(capacity, "capacity")  # names a capacity too large for a float
 
     # json.loads yields exact types, so ``type(x) is int`` also excludes bool.
     if not isinstance(raw["edges"], list):

@@ -9,22 +9,29 @@ gives a clairvoyant bound that already knows the demands.  The cheaper
 ``edge`` mode is the expectation of
 :func:`~treevrpsd.bounds.clairvoyant_edge_lb`, valid for split
 deliveries as well.  It has a closed form: with D_e >= 1 the demand
-below edge e, ``ceil(D_e/Q) = (D_e + ((-D_e) mod Q)) / Q``, and the
-distribution of ``D_e mod Q`` is a cyclic convolution over Z_Q of the
-pmfs below e, built bottom-up in O(n * Q^2).  Only the partition mode
-enumerates demand vectors.
+below edge e, ``ceil(D_e/Q) = (D_e + ((-D_e) mod Q)) / Q``, and
+``E[(-D_e) mod Q]`` is a fixed linear function of the discrete Fourier
+transform of D_e over Z_Q, ``phi_e(k) = E[w^(k * D_e)]`` with
+``w = exp(2*pi*i/Q)``.  The demands are independent, so ``phi_e`` is the
+pointwise product of the customers' transforms below e: one transform
+per distinct pmf, then O(Q) per edge, O(n * Q) in all.  An edge whose
+largest possible demand below is at most Q is crossed exactly twice
+and needs no transform.  Only the partition mode enumerates demand
+vectors.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .bounds import clairvoyant_edge_lb  # noqa: F401  (re-exported: edge mode is its expectation)
-from .demand import DemandModel, enumerate_joint, expectation
+from .demand import DemandModel, DemandPMF, enumerate_joint
 from .errors import BadParamsError, InconsistentRealizationError, TooLargeError
-from .tree import TreeInstance
+from .tree import TreeInstance, dfs_order
 
 PARTITION_MAX_CUSTOMERS = 10
 
@@ -139,45 +146,82 @@ def _union_bits(path_bits: Sequence[int], group: Sequence[int]) -> int:
     return mask
 
 
-def _cyclic_convolve(a: list[float], b: list[float]) -> list[float]:
-    """Distribution of (X + Y) mod Q from those of X mod Q and Y mod Q."""
-    out = [0.0] * len(a)
-    for shift, p in enumerate(a):
-        if p:
-            rotated = b[-shift:] + b[:-shift] if shift else b
-            out = [acc + p * w for acc, w in zip(out, rotated)]
-    return out
+def _transform(pmf: DemandPMF, capacity: int) -> list[complex]:
+    """``phi(k) = E[w^(k * D)]`` for k = 1..Q//2, ``w = exp(2*pi*i/Q)``.
+
+    ``phi(Q - k)`` is the conjugate of ``phi(k)`` and ``phi(0) = 1``, so
+    these entries determine the whole transform.
+    """
+    step = 2.0 * math.pi / capacity
+    return [
+        sum(p * cmath.rect(1.0, step * (k * d % capacity)) for d, p in pmf.mass)
+        for k in range(1, capacity // 2 + 1)
+    ]
+
+
+def _shortfall_coefficients(capacity: int) -> list[complex]:
+    """``c`` with ``E[(-D) mod Q] = (Q-1)/2 + Re sum_k phi(k) * c[k-1]``.
+
+    Over all of Z_Q the weight of ``phi(k)`` is
+    ``(1/Q) * sum_s s * w^(k*s) = 1/(w^k - 1) = -1/2 - (i/2) * cot(pi*k/Q)``
+    for k != 0, and (Q-1)/2 for k = 0.  The terms of k and Q - k are
+    conjugates and are folded into one; k = Q/2 (Q even) stands alone.
+    """
+    return [
+        complex(-1.0, -1.0 / math.tan(math.pi * k / capacity)) if 2 * k < capacity else -0.5
+        for k in range(1, capacity // 2 + 1)
+    ]
 
 
 def _expected_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
     """Closed-form expectation of the edge-crossing bound.
 
-    ``sum_e 2 * len_e * (E[D_e] + E[(-D_e) mod Q]) / Q``.  Vertices are
-    folded into their parents deepest first, so no recursion is needed;
-    ``max(1, .)`` never binds because every edge has a customer below.
+    ``sum_e 2 * len_e * (E[D_e] + E[(-D_e) mod Q]) / Q``, or exactly
+    ``2 * len_e`` when the largest possible ``D_e`` is at most Q.
+    Vertices are folded into their parents in reverse preorder, so no
+    recursion is needed and only the transforms of the open root path
+    are alive at once.
     """
     n = tree.n_customers
     if model.n_customers != n:
         raise InconsistentRealizationError(f"{model.n_customers} demand pmfs for {n} customers")
     capacity = tree.capacity
-    mean = [0.0] * tree.vertex_count
-    residue: list[list[float] | None] = [None] * tree.vertex_count
+    parent = tree.parent
+    upward = dfs_order(tree)[::-1]  # every vertex after all of its descendants
+    most = [0] * tree.vertex_count  # largest possible demand below each edge
     for v, pmf in enumerate(model.pmfs, 1):
-        mean[v] = expectation(pmf)
-        dist = [0.0] * capacity
-        for k, p in pmf.mass:
-            dist[k % capacity] += p
-        residue[v] = dist
+        most[v] = pmf.max_value()
+    for v in upward:
+        most[parent[v]] += most[v]
+    # An edge needs the transform below it when it, or an edge above it,
+    # can carry more than Q.
+    needed = [False] * tree.vertex_count
+    for v in reversed(upward):
+        needed[v] = most[v] > capacity or needed[parent[v]]
+
+    coefficients = _shortfall_coefficients(capacity) if any(needed) else []
+    transforms: dict[int, list[complex]] = {}  # per distinct pmf object
+    below: list[list[complex] | None] = [None] * tree.vertex_count
+    mean = [0.0] * tree.vertex_count
     terms = []
-    for v in sorted(range(1, tree.vertex_count), key=lambda u: -tree.depth[u]):
-        dist = residue[v]
-        shortfall = math.fsum(p * (-r % capacity) for r, p in enumerate(dist))
-        terms.append(2.0 * tree.edge_length[v] * (mean[v] + shortfall) / capacity)
-        parent = tree.parent[v]
-        if parent:
-            mean[parent] += mean[v]
-            residue[parent] = _cyclic_convolve(residue[parent], dist)
-        residue[v] = None
+    for v in upward:
+        term = 2.0 * tree.edge_length[v]  # crossed exactly twice while D_v <= Q
+        if needed[v]:
+            pmf = model.pmfs[v - 1]
+            own = transforms.get(id(pmf))
+            if own is None:
+                own = transforms[id(pmf)] = _transform(pmf, capacity)
+            phi = own if below[v] is None else list(map(mul, below[v], own))
+            below[v] = None
+            mean[v] += pmf.mean
+            if most[v] > capacity:
+                shortfall = (capacity - 1) / 2.0 + sum(map(mul, phi, coefficients)).real
+                term = term * (mean[v] + shortfall) / capacity
+            p = parent[v]
+            if p:  # the edge above a needed one is needed too
+                below[p] = phi if below[p] is None else list(map(mul, below[p], phi))
+                mean[p] += mean[v]
+        terms.append(term)
     return math.fsum(terms)
 
 

@@ -28,6 +28,7 @@ from .errors import (
     InvalidOrderError,
     NonpositiveLengthError,
     UnknownVertexError,
+    describe_int,
     describe_large_int,
 )
 
@@ -82,10 +83,14 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
     densely 0..n with the depot at 0.  Raises ``CycleOrForestError`` if
     the edges do not form a single tree rooted at 0,
     ``NonpositiveLengthError`` for bad lengths, and ``BadCapacityError``
-    for a capacity below 1.
+    for a capacity below 1 or too large for a float.
     """
     if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
         raise BadCapacityError(f"capacity must be an integer >= 1, got {capacity!r}")
+    try:
+        float(capacity)  # the bounds divide by Q
+    except OverflowError:
+        raise BadCapacityError(f"capacity is {describe_large_int(capacity)}") from None
 
     edge_list = list(edges)
     n = len(edge_list)
@@ -140,7 +145,8 @@ def _checked_edge(p, c, ln, n: int, parent: list[int]) -> float:
         raise CycleOrForestError("the depot (vertex 0) cannot appear as a child")
     if not (0 <= p <= n) or not (1 <= c <= n):
         raise CycleOrForestError(
-            f"edge ({p}, {c}) names a vertex outside 0..{n}; vertices must be dense"
+            f"edge ({describe_int(p)}, {describe_int(c)}) names a vertex outside 0..{n}; "
+            "vertices must be dense"
         )
     if parent[c] >= 0:
         raise CycleOrForestError(f"vertex {c} appears as a child more than once")
@@ -226,6 +232,7 @@ def describe_non_permutation(items: Sequence[int], n: int) -> str:
     unseen = set(range(1, n + 1))
     for pos, v in enumerate(items):
         if v not in unseen:
-            return f"{v!r} at position {pos} is outside 1..{n} or repeated"
+            shown = describe_int(v) if type(v) is int else repr(v)
+            return f"{shown} at position {pos} is outside 1..{n} or repeated"
         unseen.remove(v)
     return f"{min(unseen)} is missing ({len(items)} entries)"

@@ -20,6 +20,7 @@ from treevrpsd import (
     BadCapacityError,
     CycleOrForestError,
     DemandModel,
+    DemandPMF,
     InstanceDocument,
     InstanceSyntaxError,
     NonpositiveLengthError,
@@ -253,6 +254,50 @@ def enumerated_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
         prob * clairvoyant_edge_lb(tree, demands)
         for demands, prob in joint_demand_vectors(model)
     )
+
+
+def cyclic_convolve(a: list[float], b: list[float]) -> list[float]:
+    """Distribution of (X + Y) mod Q from those of X mod Q and Y mod Q."""
+    out = [0.0] * len(a)
+    for shift, p in enumerate(a):
+        if p:
+            rotated = b[-shift:] + b[:-shift] if shift else b
+            out = [acc + p * w for acc, w in zip(out, rotated)]
+    return out
+
+
+def convolution_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
+    """Expected clairvoyant edge bound by cyclic convolution, O(n * Q^2).
+
+    ``sum_e 2 * len_e * (E[D_e] + E[(-D_e) mod Q]) / Q`` with the law of
+    ``D_e mod Q`` convolved up the tree from the pmfs, deepest vertex
+    first.
+    """
+    capacity = tree.capacity
+    mean = [0.0] * tree.vertex_count
+    residue: list[list[float] | None] = [None] * tree.vertex_count
+    for v, pmf in enumerate(model.pmfs, 1):
+        mean[v] = pmf.mean
+        dist = [0.0] * capacity
+        for k, p in pmf.mass:
+            dist[k % capacity] += p
+        residue[v] = dist
+    terms = []
+    for v in sorted(range(1, tree.vertex_count), key=lambda u: -tree.depth[u]):
+        dist = residue[v]
+        shortfall = math.fsum(p * (-r % capacity) for r, p in enumerate(dist))
+        terms.append(2.0 * tree.edge_length[v] * (mean[v] + shortfall) / capacity)
+        parent = tree.parent[v]
+        if parent:
+            mean[parent] += mean[v]
+            residue[parent] = cyclic_convolve(residue[parent], dist)
+        residue[v] = None
+    return math.fsum(terms)
+
+
+def expectation(pmf: DemandPMF) -> float:
+    """Mean of a pmf, as a function (the library reads ``pmf.mean``)."""
+    return pmf.mean
 
 
 def assert_trace_matches_naive(tree: TreeInstance, trace, dist, order, demands, load) -> None:

@@ -4,12 +4,20 @@ import csv
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from treevrpsd import parse_instance, parse_document, replication_rng
-from treevrpsd.cli import main
+from treevrpsd import (
+    WalkGeometry,
+    expected_clairvoyant_lb,
+    parse_document,
+    parse_instance,
+    replication_rng,
+)
+from treevrpsd import cli, evaluator, oracle
+from treevrpsd.cli import build_parser, main
 from treevrpsd.demand import ENUM_LIMIT_ENV
 
 from helpers import linear_scan_realization
@@ -366,6 +374,140 @@ def test_report_lists_a_huge_integer_instance_as_failed(tmp_path, capsys, corpus
     assert "error: huge.json: edges[0].length: an integer of 401 digits" in stderr
     rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
     assert [row["instance"] for row in rows] == ["E1", "E1"]
+
+
+HUGE = "1" + "0" * 400
+HUGE_CAPACITY_DOC = (
+    '{"name": "huge", "capacity": ' + HUGE + ', "edges": [[0, 1, 1.0]], '
+    '"demands": [{"node": 1, "pmf": {"1": 1.0}}]}'
+)
+CAPACITY_MESSAGE = "capacity: an integer of 401 digits, too large for a float"
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["evaluate", "--policy", "split"]])
+def test_huge_capacity_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_CAPACITY_DOC, encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, *argv, "--instance", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {CAPACITY_MESSAGE}\n"
+
+
+def test_report_lists_a_huge_capacity_instance_as_failed(tmp_path, capsys, corpus_dir):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "E1.json").write_text(
+        (corpus_dir / "E1.json").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    (mixed / "huge.json").write_text(HUGE_CAPACITY_DOC, encoding="utf-8")
+    out_csv = tmp_path / "report.csv"
+    code, _, stderr = run_cli(
+        capsys, "report", "--corpus-dir", str(mixed), "--out-csv", str(out_csv)
+    )
+    assert code == 1
+    assert f"error: huge.json: {CAPACITY_MESSAGE}\n" in stderr
+    rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert [row["instance"] for row in rows] == ["E1", "E1"]
+
+
+@pytest.mark.parametrize("edges, node, pmf, message", [
+    (f"[[{HUGE}, 1, 1.0]]", "1", '{"1": 1.0}',
+     "edges: edge (<an integer of 401 digits, too large for a float>, 1) names a vertex "
+     "outside 0..1; vertices must be dense"),
+    ("[[0, 1, 1.0]]", "1", f'{{"{HUGE}": 1.0}}',
+     "demands[0] (node 1): demand <an integer of 401 digits, too large for a float> "
+     "outside 0..2"),
+    ("[[0, 1, 1.0]]", HUGE, '{"1": 1.0}',
+     "demands must cover each customer 1..1 exactly once: node <an integer of 401 digits, "
+     "too large for a float> at position 0 is outside 1..1 or repeated"),
+])
+def test_range_messages_name_huge_integers_by_size(tmp_path, capsys, edges, node, pmf, message):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        f'{{"name": "x", "capacity": 2, "edges": {edges}, '
+        f'"demands": [{{"node": {node}, "pmf": {pmf}}}]}}',
+        encoding="utf-8",
+    )
+    code, _, stderr = run_cli(capsys, "bounds", "--instance", str(path))
+    assert code == 2
+    assert stderr == f"error: {message}\n"
+    assert len(stderr) < 160  # the value in full would take 401 bytes
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("first, second", [
+    (["simulate", "--policy", "split", "--seed", "3", "--load", "2"],
+     ["simulate", "--policy", "split", "--seed", "3"]),
+    (["evaluate", "--policy", "unsplit", "--format", "csv"],
+     ["evaluate", "--policy", "unsplit"]),
+])
+def test_cached_parser_carries_nothing_between_calls(capsys, corpus_dir, first, second):
+    # Each call prints what it prints on a freshly built parser, so an
+    # option of the first call does not leak into the second.
+    instance = ["--instance", str(corpus_dir / "caterpillar-n7-q6-s114.json")]
+    cached = [run_cli(capsys, *argv, *instance) for argv in (first, second)]
+    fresh = []
+    for argv in (first, second):
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv, *instance))
+    assert cached == fresh
+    assert cached[0][0] == 0 and cached[0][1] != cached[1][1]
+
+
+def _count_report_work(monkeypatch) -> tuple[Counter, list[str]]:
+    """Count geometries, bound sets and edge bounds built; list the
+    clairvoyant modes the report asks for."""
+    calls: Counter = Counter()
+    modes: list[str] = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def clairvoyant(tree, model, mode):
+        modes.append(mode)
+        return expected_clairvoyant_lb(tree, model, mode=mode)
+
+    monkeypatch.setattr(WalkGeometry, "__init__", counted("geometry", WalkGeometry.__init__))
+    monkeypatch.setattr(cli, "bound_set", counted("bound_set", cli.bound_set))
+    monkeypatch.setattr(evaluator, "bound_set", counted("bound_set", evaluator.bound_set))
+    monkeypatch.setattr(oracle, "_expected_edge_lb", counted("edge", oracle._expected_edge_lb))
+    monkeypatch.setattr(cli, "expected_clairvoyant_lb", clairvoyant)
+    return calls, modes
+
+
+@pytest.mark.parametrize("n", [12, 6])
+def test_report_builds_geometry_bounds_and_edge_bound_once(tmp_path, capsys, monkeypatch, n):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "inst.json"
+    run_cli(
+        capsys, "gen", "--n", str(n), "--capacity", "4", "--topology", "random-attachment",
+        "--pmf", "unif:1-3", "--seed", "2", "--length-range", "0.5", "2.0", "--out", str(path),
+    )
+    calls, modes = _count_report_work(monkeypatch)
+    out_csv = tmp_path / "report.csv"
+    code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))
+    assert code == 0
+    assert calls == {"geometry": 1, "bound_set": 1, "edge": 1}
+    rows = {row["policy"]: row for row in csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())}
+    tree, model = parse_instance(path.read_text(encoding="utf-8"))
+    edge = expected_clairvoyant_lb(tree, model, mode="edge")
+    assert float(rows["split"]["clairvoyant_lb"]) == edge
+    if n <= oracle.PARTITION_MAX_CUSTOMERS:
+        # the unsplit row still reads the partition oracle
+        assert modes == ["edge", "partition"]
+        partition = expected_clairvoyant_lb(tree, model, mode="partition")
+        assert float(rows["unsplit"]["clairvoyant_lb"]) == partition != edge
+    else:
+        assert modes == ["edge"]
+        assert float(rows["unsplit"]["clairvoyant_lb"]) == edge
 
 
 def test_report_missing_directory_exits_2(tmp_path, capsys):

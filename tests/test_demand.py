@@ -20,7 +20,6 @@ from treevrpsd import (
     Realization,
     TooLargeError,
     enumerate_joint,
-    expectation,
     joint_support_size,
     make_pmf,
     point_model,
@@ -35,7 +34,7 @@ from treevrpsd.demand import (
 )
 from treevrpsd.instance_io import parse_pmf_spec
 
-from helpers import linear_scan_realization
+from helpers import expectation, linear_scan_realization
 
 
 def test_make_pmf_sorts_and_accumulates_duplicates():
@@ -111,6 +110,19 @@ def test_make_pmf_names_huge_integer_probabilities():
         with pytest.raises(NegativeMassError) as info:
             make_pmf([(1, p)], capacity=2)
         assert str(info.value) == "probability for demand 1 is an integer of 401 digits, too large for a float"
+
+
+def test_make_pmf_names_huge_integer_demands_by_size():
+    huge = "<an integer of 401 digits, too large for a float>"
+    with pytest.raises(OutOfRangeError) as info:
+        make_pmf([(10**400, 1.0)], capacity=2)
+    assert str(info.value) == f"demand {huge} outside 0..2"
+    with pytest.raises(OutOfRangeError) as info:
+        make_pmf([(10**400 + 1, 1.0)], capacity=10**400)
+    assert str(info.value) == f"demand {huge} outside 0..{huge}"
+    with pytest.raises(NegativeMassError) as info:
+        make_pmf([(10**400, -0.5)], capacity=2)
+    assert str(info.value) == f"negative probability -0.5 at demand {huge}"
 
 
 def test_point_model():

@@ -13,22 +13,24 @@ from treevrpsd import (
     build_tree,
     dfs_order,
     exact_expected_cost,
-    expectation,
     expected_clairvoyant_lb,
     make_pmf,
     optimal_unsplit_partition,
     point_model,
     run_unsplit,
 )
-from treevrpsd.bounds import clairvoyant_edge_lb
+from treevrpsd.bounds import clairvoyant_edge_lb, tour_floor
 from treevrpsd.oracle import PARTITION_MAX_CUSTOMERS
 
 from helpers import (
     EDGE_LENGTHS,
     brute_optimal_partition_cost,
+    convolution_edge_lb,
     enumerated_edge_lb,
+    expectation,
     random_edges,
     random_model,
+    random_pmf_dict,
 )
 
 
@@ -197,3 +199,47 @@ def test_expected_edge_on_deep_path():
     low = 2.0 * 0.5 * mean_sum / capacity
     high = low + 2.0 * 0.5 * n * (capacity - 1) / capacity
     assert low <= got <= high
+
+
+def test_edge_transform_matches_convolution_oracle():
+    # The DFT route against the O(n * Q^2) convolution it replaced, on
+    # instances too large to enumerate; Q = 1 and Q = 2 hit the empty and
+    # the lone self-conjugate frequency.
+    rng = random.Random(55)
+    shapes = ("random", "star", "path")
+    for trial in range(300):
+        shape = shapes[trial % 3]
+        n = rng.randint(1, 60)
+        capacity = 1 if trial % 10 == 0 else rng.randint(2, 30)
+        tree = build_tree(_random_shape(rng, shape, n), capacity)
+        model = random_model(rng, tree, max_support=4)
+        got = expected_clairvoyant_lb(tree, model, mode="edge")
+        want = convolution_edge_lb(tree, model)
+        assert math.isclose(got, want, rel_tol=1e-9), (trial, shape, n, capacity)
+
+
+def test_edge_transform_on_deep_path_matches_convolution_oracle():
+    # 10^5 pointwise products in a row: where rounding accumulates most.
+    n, capacity = 100_000, 7
+    tree = build_tree([(v - 1, v, 0.5 + v % 4 * 0.5) for v in range(1, n + 1)], capacity)
+    pmf = make_pmf([(1, 0.2), (2, 0.5), (6, 0.3)], capacity)
+    model = DemandModel(pmfs=(pmf,) * n, capacity=capacity)
+    got = expected_clairvoyant_lb(tree, model, mode="edge")
+    assert math.isclose(got, convolution_edge_lb(tree, model), rel_tol=1e-9)
+
+
+def test_edge_bound_is_tour_floor_when_capacity_covers_all_demand():
+    # Every edge then carries between 1 and Q units, so it is crossed
+    # exactly twice: the bound is 2S to the last bit, with no transform
+    # taken, even when Q is far too large to transform over.
+    rng = random.Random(56)
+    n = 50
+    for capacity in (3 * n, 10**12):
+        tree = build_tree(random_edges(rng, n), capacity)
+        spread = DemandModel(
+            pmfs=tuple(make_pmf(random_pmf_dict(rng, 3).items(), capacity) for _ in range(n)),
+            capacity=capacity,
+        )
+        full = point_model((3,) * n, capacity)  # largest total demand exactly 3n
+        for model in (spread, full):
+            assert expected_clairvoyant_lb(tree, model, mode="edge") == tour_floor(tree)

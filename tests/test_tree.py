@@ -109,6 +109,18 @@ def test_build_tree_names_huge_integer_lengths():
         assert str(info.value) == "edge (1, 2) has length an integer of 401 digits, too large for a float"
 
 
+def test_build_tree_names_huge_integers_by_size():
+    with pytest.raises(BadCapacityError) as info:
+        build_tree([(0, 1, 1.0)], capacity=10**400)
+    assert str(info.value) == "capacity is an integer of 401 digits, too large for a float"
+    with pytest.raises(CycleOrForestError) as info:
+        build_tree([(0, 1, 1.0), (1, -(10**400), 1.0)], capacity=2)
+    assert str(info.value) == (
+        "edge (1, <an integer of 401 digits, too large for a float>) names a vertex "
+        "outside 0..2; vertices must be dense"
+    )
+
+
 def test_empty_tree_is_allowed():
     tree = build_tree([], capacity=3)
     assert tree.n_customers == 0
