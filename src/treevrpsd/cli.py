@@ -100,10 +100,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _parse_demand_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise BadParamsError(f"--demands must be comma-separated integers, got {text!r}") from None
+    demands = []
+    for pos, part in enumerate(text.split(",")):
+        try:
+            demands.append(int(part))
+        except ValueError:
+            # Name the entry, not the list, cut so the message stays short.
+            shown = repr(part[:20]) + (f" ... ({len(part)} characters)" if len(part) > 20 else "")
+            raise BadParamsError(f"--demands must be comma-separated integers: entry {pos} is {shown}") from None
+    return tuple(demands)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -15,10 +15,12 @@ def describe_large_int(value: int) -> str:
     return f"an integer of {digits} digits, too large for a float"
 
 
-def describe_int(value: int) -> str:
+def describe_int(value) -> str:
     """An int as messages show it: in full, or by its digit count in angle
     brackets when a float cannot hold it (a document may carry thousands
-    of digits)."""
+    of digits).  Any other value shows as its repr."""
+    if not isinstance(value, int):
+        return repr(value)
     try:
         float(value)
     except OverflowError:

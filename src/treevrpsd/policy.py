@@ -28,6 +28,11 @@ first i].  That is why the two policies break at the same customers
 with the same stock afterwards.  Averaged over the uniform
 initial load l in {1..Q}, each customer is a breakpoint with
 probability exactly q_i/Q.
+
+Traces and :class:`WalkGeometry` price a leg between consecutive stops
+from parent pointers: in a preorder the next stop's parent is the two
+stops' lowest common ancestor.  Every other move touches the depot, so
+a trace takes O(1) per event on any tree.
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .demand import Realization
-from .errors import InconsistentRealizationError
-from .tree import TreeInstance, VisitOrder, check_preorder, path_distance
+from .errors import InconsistentRealizationError, describe_int
+from .tree import TreeInstance, VisitOrder, check_preorder
+# The benchmark tracer (perfbench/tracing.py) wraps policy.path_distance by name.
+from .tree import path_distance  # noqa: F401
 
 SPLIT = "split"
 UNSPLIT = "unsplit"
@@ -85,15 +92,17 @@ class RunTrace:
 def _check_realization(tree: TreeInstance, r: Realization) -> None:
     n = tree.n_customers
     q = tree.capacity
-    if len(r.demands) != n:
-        raise InconsistentRealizationError(
-            f"realization has {len(r.demands)} demands for {n} customers"
-        )
-    for idx, d in enumerate(r.demands, 1):
-        if not isinstance(d, int) or isinstance(d, bool) or not (1 <= d <= q):
-            raise InconsistentRealizationError(f"demand {d!r} of customer {idx} outside 1..{q}")
-    if not isinstance(r.initial_load, int) or isinstance(r.initial_load, bool) or not (1 <= r.initial_load <= q):
-        raise InconsistentRealizationError(f"initial load {r.initial_load!r} outside 1..{q}")
+    demands = r.demands
+    if len(demands) != n:
+        raise InconsistentRealizationError(f"realization has {len(demands)} demands for {n} customers")
+    # One exact-type pass; the per-item loop runs only to word an error.
+    if not all(type(d) is int and 1 <= d <= q for d in demands):
+        for idx, d in enumerate(demands, 1):
+            if not isinstance(d, int) or isinstance(d, bool) or not (1 <= d <= q):
+                raise InconsistentRealizationError(f"demand {describe_int(d)} of customer {idx} outside 1..{q}")
+    load = r.initial_load
+    if not isinstance(load, int) or isinstance(load, bool) or not (1 <= load <= q):
+        raise InconsistentRealizationError(f"initial load {describe_int(load)} outside 1..{q}")
 
 
 def trace_tours(trace: RunTrace, tree: TreeInstance) -> tuple[Tour, ...]:
@@ -126,78 +135,91 @@ def trace_tours(trace: RunTrace, tree: TreeInstance) -> tuple[Tour, ...]:
     return tuple(tours)
 
 
+def _walk_legs(tree: TreeInstance, seq: tuple[int, ...]) -> tuple[float, ...]:
+    """Legs of the closed walk depot, seq..., depot, for a checked preorder:
+    ``path_distance``'s expression with each common ancestor read off."""
+    dd = tree.depot_dist
+    stops = (0, *seq, 0)
+    lcas = [tree.parent[b] for b in seq] + [0]  # the depot for the final leg
+    return tuple(dd[a] + dd[b] - 2.0 * dd[c] for a, b, c in zip(stops, stops[1:], lcas))
+
+
 def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: str) -> RunTrace:
     _check_realization(tree, r)
-    legs = WalkGeometry(tree, order).legs
+    seq = tuple(order)
+    check_preorder(tree, seq)
+    legs = _walk_legs(tree, seq)
     depot_dist = tree.depot_dist
     capacity = tree.capacity
+    demands = r.demands
+    split = policy == SPLIT
+    final = len(seq) - 1
     events: list[tuple] = []
+    add = events.append
+    moved: list[float] = []  # every move's distance, in execution order
+    walk = moved.append
+    kinds: dict[int, str] = {}
+    post_loads: list[int] = []
     position = 0
     load = r.initial_load
-    post_loads: list[int] = []
-    kinds: dict[int, str] = {}
-    seq = tuple(order)
-    n = len(seq)
-
-    def move(dest: int, dist: float) -> None:
-        nonlocal position
-        events.append(("move", position, dest, dist))
-        position = dest
-
-    def serve(v: int, units: int, before: int) -> None:
-        events.append(("serve", v, units, before, before - units))
-
-    def depot_round_trip(v: int) -> None:
-        move(0, depot_dist[v])
-        move(v, depot_dist[v])
-
     for idx, v in enumerate(seq):
-        q = r.demands[v - 1]
-        last = idx == n - 1
+        q = demands[v - 1]
         # Every move touches the depot except the walk leg from the
         # previous customer, so depot_dist and legs price all of them.
-        move(v, legs[idx] if position else depot_dist[v])
+        dist = legs[idx] if position else depot_dist[v]
+        add(("move", position, v, dist))
+        walk(dist)
+        position = v
         if q < load:
-            serve(v, q, load)
+            add(("serve", v, q, load, load - q))
             load -= q
         elif q == load:
             kinds[v] = "exact"
-            events.append(("breakpoint", v, "exact"))
-            serve(v, q, load)
+            add(("breakpoint", v, "exact"))
+            add(("serve", v, q, load, 0))
             load = 0
-            if not last:
-                move(0, depot_dist[v])
+            if idx != final:
+                dist = depot_dist[v]
+                add(("move", v, 0, dist))
+                walk(dist)
+                position = 0
                 load = capacity
         else:
             kinds[v] = "deficit"
-            events.append(("breakpoint", v, "deficit"))
-            if policy == SPLIT:
+            add(("breakpoint", v, "deficit"))
+            dist = depot_dist[v]
+            round_trip = (("move", v, 0, dist), ("move", 0, v, dist))
+            if split:
                 remainder = q - load
-                serve(v, load, load)
-                depot_round_trip(v)
-                load = remainder if last else capacity
-                serve(v, remainder, load)
+                add(("serve", v, load, load, 0))
+                events += round_trip
+                moved += (dist, dist)
+                load = remainder if idx == final else capacity
+                add(("serve", v, remainder, load, load - remainder))
                 load -= remainder
             else:
-                arrival = load
-                depot_round_trip(v)
-                load = q
-                serve(v, q, load)
-                load = 0
-                if not last:
-                    depot_round_trip(v)
-                    load = capacity + arrival - q
+                events += round_trip
+                add(("serve", v, q, q, 0))
+                if idx == final:
+                    moved += (dist, dist)
+                    load = 0
+                else:
+                    events += round_trip
+                    moved += (dist, dist, dist, dist)
+                    load = capacity + load - q
         post_loads.append(load)
 
     if position != 0:
-        move(0, depot_dist[position])
+        dist = depot_dist[position]
+        add(("move", position, 0, dist))
+        walk(dist)
 
     return RunTrace(
         policy=policy,
         breakpoints=frozenset(kinds),
         breakpoint_kinds=kinds,
         post_customer_loads=tuple(post_loads),
-        total_length=math.fsum(e[3] for e in events if e[0] == "move"),
+        total_length=math.fsum(moved),
         events=tuple(events),
     )
 
@@ -218,14 +240,22 @@ def format_trace(trace: RunTrace) -> str:
     One line per event: ``MOVE from to dist``, ``SERVE node units
     load_before load_after``, ``BREAKPOINT node kind``.
     """
-    lines = []
+    lines: list[str] = []
+    add = lines.append
+    # A depot round trip repeats one depot_dist float: repr it once.
+    last = shown = None
     for ev in trace.events:
-        if ev[0] == "move":
-            lines.append(f"MOVE {ev[1]} {ev[2]} {ev[3]!r}")
-        elif ev[0] == "serve":
-            lines.append(f"SERVE {ev[1]} {ev[2]} {ev[3]} {ev[4]}")
+        tag = ev[0]
+        if tag == "move":
+            dist = ev[3]
+            if dist is not last:
+                last = dist
+                shown = repr(dist)
+            add(f"MOVE {ev[1]} {ev[2]} {shown}")
+        elif tag == "serve":
+            add(f"SERVE {ev[1]} {ev[2]} {ev[3]} {ev[4]}")
         else:
-            lines.append(f"BREAKPOINT {ev[1]} {ev[2]}")
+            add(f"BREAKPOINT {ev[1]} {ev[2]}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -248,7 +278,7 @@ class WalkGeometry:
         check_preorder(tree, order)
         seq = tuple(order)
         stops = [0, *seq, 0]
-        legs = tuple(path_distance(tree, stops[k], stops[k + 1]) for k in range(len(stops) - 1))
+        legs = _walk_legs(tree, seq)
         self.capacity = tree.capacity
         self.legs = legs
         self.base_length = math.fsum(legs)

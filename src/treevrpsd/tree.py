@@ -232,7 +232,6 @@ def describe_non_permutation(items: Sequence[int], n: int) -> str:
     unseen = set(range(1, n + 1))
     for pos, v in enumerate(items):
         if v not in unseen:
-            shown = describe_int(v) if type(v) is int else repr(v)
-            return f"{shown} at position {pos} is outside 1..{n} or repeated"
+            return f"{describe_int(v)} at position {pos} is outside 1..{n} or repeated"
         unseen.remove(v)
     return f"{min(unseen)} is missing ({len(items)} entries)"

@@ -505,17 +505,47 @@ def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) 
 
 # -- second routes to the walk and breakpoint laws ----------------------------------
 
+def path_distance_legs(tree: TreeInstance, order: Sequence[int]) -> tuple[float, ...]:
+    """Legs of the closed walk depot, ``order``..., depot, each priced by
+    ``path_distance`` and its ancestor walk (the library reads parents)."""
+    check_preorder(tree, order)
+    stops = [0, *order, 0]
+    return tuple(path_distance(tree, stops[k], stops[k + 1]) for k in range(len(stops) - 1))
+
+
 def closed_walk_length(tree: TreeInstance, order: Sequence[int]) -> float:
     """Length of the closed walk depot, ``order``..., depot.
 
     ``order`` must be a valid DFS preorder; for such orders the result
     equals ``2 * total_edge_length`` up to float accumulation.
     """
-    check_preorder(tree, order)
-    stops = [0, *order, 0]
-    return math.fsum(
-        path_distance(tree, stops[k], stops[k + 1]) for k in range(len(stops) - 1)
-    )
+    return math.fsum(path_distance_legs(tree, order))
+
+
+def shuffled_preorder(tree: TreeInstance, rng: random.Random) -> tuple[int, ...]:
+    """A DFS preorder with random child ordering (not necessarily sorted)."""
+    out, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        if v != 0:
+            out.append(v)
+        kids = list(tree.children[v])
+        rng.shuffle(kids)
+        stack.extend(kids)
+    return tuple(out)
+
+
+def per_event_format_trace(trace) -> str:
+    """``format_trace`` as one f-string per event, each float repr'd anew."""
+    lines = []
+    for ev in trace.events:
+        if ev[0] == "move":
+            lines.append(f"MOVE {ev[1]} {ev[2]} {ev[3]!r}")
+        elif ev[0] == "serve":
+            lines.append(f"SERVE {ev[1]} {ev[2]} {ev[3]} {ev[4]}")
+        else:
+            lines.append(f"BREAKPOINT {ev[1]} {ev[2]}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def arithmetic_breakpoints(demands: Sequence[int], initial_load: int, capacity: int) -> set[int]:

@@ -177,6 +177,24 @@ def test_simulate_demands_require_load(capsys, corpus_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--load", "9" * 500], "initial load <an integer of 500 digits, too large for a float> outside 1..2"),
+    (["--demands", "1," + "9" * 500, "--load", "1"],
+     "demand <an integer of 500 digits, too large for a float> of customer 2 outside 1..2"),
+    (["--demands", "1," * 3000 + "x", "--load", "1"],
+     "--demands must be comma-separated integers: entry 3000 is 'x'"),
+    # past the interpreter's 4300-digit limit on int(str)
+    (["--demands", "1," + "9" * 5000, "--load", "1"],
+     "--demands must be comma-separated integers: entry 1 is '99999999999999999999' ... (5000 characters)"),
+], ids=["huge-load", "huge-demand", "bad-entry", "over-digit-limit"])
+def test_simulate_errors_stay_short(capsys, corpus_dir, argv, message):
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--instance", str(corpus_dir / "E1.json"), "--policy", "split", *argv
+    )
+    assert code == 2
+    assert stderr == f"error: {message}\n"
+
+
 def test_evaluate_exact_json(capsys, corpus_dir):
     code, stdout, _ = run_cli(
         capsys, "evaluate", "--instance", str(corpus_dir / "E1.json"),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treevrpsd import (
+    GeneratorParams,
     InconsistentRealizationError,
     Realization,
     WalkGeometry,
     build_tree,
     dfs_order,
     format_trace,
+    generate,
+    parse_instance,
+    replication_rng,
     run_split,
     run_unsplit,
+    sample_realization,
 )
 from treevrpsd.policy import POLICIES, trace_tours
 
@@ -27,7 +33,10 @@ from helpers import (
     breakpoint_probability_exact,
     brute_distances,
     naive_policy_cost,
+    path_distance_legs,
+    per_event_format_trace,
     random_edges,
+    shuffled_preorder,
 )
 
 E1_EDGES = [(0, 1, 1.0), (1, 2, 1.0)]
@@ -325,3 +334,91 @@ def test_trace_execution_is_linear_on_deep_path(monkeypatch):
             assert calls <= n + 1
             assert len(trace.breakpoints) == n
             assert math.isclose(trace.total_length, cost(demands, load), rel_tol=1e-9)
+
+
+def _legs_test_tree(rng, n, shape):
+    """Star, path or random-attachment tree with non-dyadic edge lengths."""
+    edges = []
+    for v in range(1, n + 1):
+        p = 0 if shape == "star" else v - 1 if shape == "path" else rng.randrange(v)
+        edges.append((p, v, rng.uniform(0.1, 3.0)))
+    return build_tree(edges, capacity=rng.randint(1, 6))
+
+
+def test_walk_legs_equal_path_distance_oracle():
+    # Legs come from parent pointers; the oracle walks to the common
+    # ancestor. Equal bit for bit, under ascending and shuffled preorders.
+    rng = random.Random(31)
+    for k in range(200):
+        tree = _legs_test_tree(rng, rng.randint(0, 40), ("star", "path", "random")[k % 3])
+        for order in (dfs_order(tree), shuffled_preorder(tree, rng)):
+            assert WalkGeometry(tree, order).legs == path_distance_legs(tree, order)
+
+
+def test_walk_legs_equal_path_distance_oracle_on_deep_path():
+    tree = _legs_test_tree(random.Random(32), 100_000, "path")
+    order = dfs_order(tree)
+    assert WalkGeometry(tree, order).legs == path_distance_legs(tree, order)
+
+
+def test_traces_make_no_path_distance_calls_on_deep_path(monkeypatch):
+    import treevrpsd.policy as policy_module
+    import treevrpsd.tree as tree_module
+
+    n = 10_000
+    tree = build_tree([(v - 1, v, 0.5 + (v % 7) / 4) for v in range(1, n + 1)], capacity=2)
+    order = dfs_order(tree)
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(policy_module, "path_distance", counting("path_distance", policy_module.path_distance))
+    monkeypatch.setattr(
+        tree_module, "lowest_common_ancestor",
+        counting("lowest_common_ancestor", tree_module.lowest_common_ancestor),
+    )
+    # load 1: a deficit at every customer; load 2: an exact breakpoint at every one
+    for load in (1, 2):
+        for run in (run_split, run_unsplit):
+            trace = run(tree, order, Realization((2,) * n, load))
+            assert len(trace.breakpoints) == n
+    assert calls == Counter()
+
+
+def _formatter_cases(corpus_dir):
+    for path in sorted(corpus_dir.glob("*.json")):
+        yield parse_instance(path.read_text(encoding="utf-8"))
+    for topology in ("path", "star", "random-attachment", "caterpillar"):
+        for n in (1, 7, 300, 1400):
+            yield generate(GeneratorParams(
+                n=n, capacity=10, topology=topology, pmf="two:3,0.5,10", seed=n, length_range=(0.5, 2.0)
+            ))
+
+
+def test_format_trace_matches_per_event_oracle(corpus_dir):
+    for tree, model in _formatter_cases(corpus_dir):
+        order = dfs_order(tree)
+        for seed in (0, 7, 42):
+            r = sample_realization(model, replication_rng(seed, 0))
+            for run in (run_split, run_unsplit):
+                trace = run(tree, order, r)
+                assert format_trace(trace) == per_event_format_trace(trace)
+
+
+def test_format_trace_matches_oracle_for_every_final_stop_kind():
+    # Every demand vector and load on a 3-customer path: each breakpoint
+    # kind (and none) occurs at every stop, the final one included.
+    tree = build_tree([(0, 1, 0.7), (1, 2, 1.3), (2, 3, 0.1)], capacity=3)
+    order = dfs_order(tree)
+    final_kinds = set()
+    for demands in itertools.product((1, 2, 3), repeat=3):
+        for load in (1, 2, 3):
+            for run in (run_split, run_unsplit):
+                trace = run(tree, order, Realization(demands, load))
+                assert format_trace(trace) == per_event_format_trace(trace)
+                final_kinds.add(trace.breakpoint_kinds.get(3))
+    assert final_kinds == {None, "exact", "deficit"}

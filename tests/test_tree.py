@@ -27,6 +27,7 @@ from helpers import (
     itemwise_build_tree,
     outcome,
     random_edges,
+    shuffled_preorder,
 )
 
 PATH3 = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)]
@@ -188,25 +189,12 @@ def test_dfs_order_is_a_preorder_and_walks_twice_total_length():
         )
 
 
-def _shuffled_preorder(tree, rng) -> tuple[int, ...]:
-    """A DFS preorder with random child ordering (not necessarily sorted)."""
-    out, stack = [], [0]
-    while stack:
-        v = stack.pop()
-        if v != 0:
-            out.append(v)
-        kids = list(tree.children[v])
-        rng.shuffle(kids)
-        stack.extend(kids)
-    return tuple(out)
-
-
 def test_any_preorder_closed_walk_is_twice_total_length():
     rng = random.Random(14)
     for _ in range(40):
         n = rng.randint(2, 20)
         tree = build_tree(random_edges(rng, n), capacity=2)
-        order = _shuffled_preorder(tree, rng)
+        order = shuffled_preorder(tree, rng)
         check_preorder(tree, order)
         assert math.isclose(
             closed_walk_length(tree, order), 2.0 * tree.total_edge_length, rel_tol=1e-9
