@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .demand import DemandModel
 from .errors import InconsistentRealizationError
-from .policy import RunTrace, trace_tours
+from .policy import RunTrace
 from .tree import TreeInstance
 
 
@@ -65,15 +65,26 @@ def bound_set(tree: TreeInstance, model: DemandModel) -> BoundSet:
 def trace_certificate(trace: RunTrace, tree: TreeInstance) -> float:
     """Per-realization certificate (2/Q) * sum_j d(0, farthest_j) * units_j.
 
+    A tour is a maximal depot-to-depot segment of the trace's moves.
     Each tour dispatches at most Q units and is at least twice as long
     as its farthest served customer's depot distance, so the sum never
-    exceeds the trace's total length.
+    exceeds the trace's total length.  Tours that serve no one add
+    nothing.
     """
-    return (2.0 / tree.capacity) * math.fsum(
-        tree.depot_dist[t.farthest] * t.load_dispatched
-        for t in trace_tours(trace, tree)
-        if t.farthest is not None
-    )
+    depot_dist = tree.depot_dist
+    terms = []
+    farthest = 0.0
+    units = 0
+    for ev in trace.events:
+        if ev[0] == "serve":
+            farthest = max(farthest, depot_dist[ev[1]])
+            units += ev[2]
+        elif ev[0] == "move" and ev[2] == 0:
+            if units:
+                terms.append(farthest * units)
+            farthest = 0.0
+            units = 0
+    return (2.0 / tree.capacity) * math.fsum(terms)
 
 
 def clairvoyant_edge_lb(tree: TreeInstance, demands: Sequence[int]) -> float:

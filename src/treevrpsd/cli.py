@@ -99,29 +99,42 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_demand_list(text: str) -> tuple[int, ...]:
-    demands = []
-    for pos, part in enumerate(text.split(",")):
+def _parse_digits(text: str, what: str) -> int:
+    """``text`` as an integer when it is ASCII digits only.
+
+    ``int()`` alone also reads signs, spaces, underscores and non-ASCII
+    digits.  ``what`` names the value; the text is cut so the message
+    stays short.
+    """
+    if text.isascii() and text.isdigit():
         try:
-            demands.append(int(part))
-        except ValueError:
-            # Name the entry, not the list, cut so the message stays short.
-            shown = repr(part[:20]) + (f" ... ({len(part)} characters)" if len(part) > 20 else "")
-            raise BadParamsError(f"--demands must be comma-separated integers: entry {pos} is {shown}") from None
-    return tuple(demands)
+            return int(text)
+        except ValueError:  # more digits than int(str) converts
+            pass
+    shown = repr(text[:20]) + (f" ... ({len(text)} characters)" if len(text) > 20 else "")
+    raise BadParamsError(f"{what} is {shown}")
+
+
+def _parse_demand_list(text: str) -> tuple[int, ...]:
+    # Name the entry, not the list.
+    return tuple(
+        _parse_digits(part, f"--demands must be comma-separated integers: entry {pos}")
+        for pos, part in enumerate(text.split(","))
+    )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _, tree, model = _load_instance(args.instance)
+    load = None if args.load is None else _parse_digits(args.load, "--load must be an integer: value")
     if args.demands is not None:
-        if args.load is None:
+        if load is None:
             raise BadParamsError("--load is required when --demands is given")
-        realization = Realization(_parse_demand_list(args.demands), args.load)
+        realization = Realization(_parse_demand_list(args.demands), load)
     else:
         rng = replication_rng(args.seed, 0)
         realization = sample_realization(model, rng)
-        if args.load is not None:
-            realization = Realization(realization.demands, args.load)
+        if load is not None:
+            realization = Realization(realization.demands, load)
     run = run_split if args.policy == SPLIT else run_unsplit
     trace = run(tree, dfs_order(tree), realization)
     sys.stdout.write(format_trace(trace))
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--instance", required=True, help="instance document path")
     simulate.add_argument("--policy", choices=POLICIES, required=True)
     simulate.add_argument("--demands", default=None, help="explicit demands, e.g. 2,1,3")
-    simulate.add_argument("--load", type=int, default=None, help="initial load (1..Q)")
+    simulate.add_argument("--load", default=None, help="initial load (1..Q)")
     simulate.add_argument("--seed", type=int, default=0, help="seed when demands are drawn")
     simulate.set_defaults(handler=_cmd_simulate)
 

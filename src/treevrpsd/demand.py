@@ -5,8 +5,7 @@ described by an explicit probability mass function.  Zero demand is
 rejected outright: a customer that might need nothing would not belong
 to the instance.  The module supports exact expectations, inverse-CDF
 sampling, and exhaustive enumeration of the joint demand space for the
-oracles that truly need every demand vector (the partition oracle and
-the trace-certificate diagnostic).
+one oracle that truly needs every demand vector, the partition oracle.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ from .errors import (
 
 NORMALIZATION_TOL = 1e-12
 
-# Joint enumeration is capped to keep the enumerating oracles
-# interactive; the TREEVRPSD_ENUM_LIMIT environment variable overrides
-# the default.
+# Joint enumeration is capped to keep the partition oracle interactive;
+# the TREEVRPSD_ENUM_LIMIT environment variable overrides the default.
 DEFAULT_ENUM_LIMIT = 10**6
 ENUM_LIMIT_ENV = "TREEVRPSD_ENUM_LIMIT"
 
@@ -55,12 +53,8 @@ def format_count(count: int) -> str:
     return f"about 10^{round(math.log10(count))}"
 
 
-def resolve_enum_limit(explicit: int | None = None) -> int:
-    """Effective enumeration cap: explicit value, else env var, else default."""
-    if explicit is not None:
-        if not isinstance(explicit, int) or explicit < 1:
-            raise BadParamsError(f"enumeration limit must be a positive integer, got {explicit!r}")
-        return explicit
+def resolve_enum_limit() -> int:
+    """Effective enumeration cap: the env var, else the default."""
     raw = os.environ.get(ENUM_LIMIT_ENV)
     if raw is None:
         return DEFAULT_ENUM_LIMIT
@@ -220,16 +214,14 @@ def joint_support_size(model: DemandModel) -> int:
     return size
 
 
-def enumerate_joint(
-    model: DemandModel, limit: int | None = None
-) -> Iterator[tuple[tuple[int, ...], float]]:
+def enumerate_joint(model: DemandModel) -> Iterator[tuple[tuple[int, ...], float]]:
     """Yield every joint demand vector with its product probability.
 
     Vectors are emitted in odometer order (last customer fastest, values
     ascending).  Raises ``TooLargeError`` before yielding anything if
     the joint support exceeds the enumeration limit.
     """
-    cap = resolve_enum_limit(limit)
+    cap = resolve_enum_limit()
     size = joint_support_size(model)
     if size > cap:
         raise TooLargeError(

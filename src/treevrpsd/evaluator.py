@@ -21,20 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BoundSet, bound_set, trace_certificate
-from .demand import (
-    DemandModel,
-    Realization,
-    enumerate_joint,
-    format_count,
-    joint_support_size,
-    replication_rng,
-    resolve_enum_limit,
-    sample_realization,
-)
-from .errors import BadParamsError, TooLargeError
-from .policy import POLICIES, SPLIT, WalkGeometry, run_split, run_unsplit
-from .tree import TreeInstance, VisitOrder, dfs_order
+from .bounds import BoundSet, bound_set
+from .demand import DemandModel, replication_rng, sample_realization
+# The benchmark tracer (perfbench/tracing.py) wraps evaluator.enumerate_joint by name.
+from .demand import enumerate_joint  # noqa: F401
+from .errors import BadParamsError
+from .policy import POLICIES, SPLIT, WalkGeometry
+from .tree import TreeInstance, dfs_order
 
 EXACT = "exact"
 MONTE_CARLO = "monte_carlo"
@@ -75,17 +68,15 @@ def _check_policy(policy: str) -> None:
         raise BadParamsError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
-def walk_geometry(tree: TreeInstance, order: VisitOrder | None = None) -> WalkGeometry:
-    """The :class:`~treevrpsd.policy.WalkGeometry` of ``order``, by
-    default the depth-first preorder."""
-    return WalkGeometry(tree, dfs_order(tree) if order is None else order)
+def walk_geometry(tree: TreeInstance) -> WalkGeometry:
+    """The :class:`~treevrpsd.policy.WalkGeometry` of the depth-first preorder."""
+    return WalkGeometry(tree, dfs_order(tree))
 
 
 def exact_expected_cost(
     tree: TreeInstance,
     model: DemandModel,
     policy: str,
-    order: VisitOrder | None = None,
     *,
     geometry: WalkGeometry | None = None,
 ) -> float:
@@ -96,11 +87,12 @@ def exact_expected_cost(
     :class:`~treevrpsd.policy.WalkGeometry`, which alone states how the
     policies' deficit detours differ.  Linear in the number of
     customers; nothing is enumerated, so there is no size limit.  A
-    ``geometry`` already built for ``tree`` and ``order`` is used as is.
+    ``geometry`` already built for ``tree`` is used as is, so another
+    preorder is priced by passing ``WalkGeometry(tree, order)``.
     """
     _check_policy(policy)
     if geometry is None:
-        geometry = walk_geometry(tree, order)
+        geometry = walk_geometry(tree)
     capacity = tree.capacity
     deficit_detour = geometry.deficit_detour[policy]
     terms = [geometry.base_length]
@@ -117,7 +109,6 @@ def monte_carlo_cost(
     policy: str,
     samples: int,
     master_seed: int,
-    order: VisitOrder | None = None,
     *,
     geometry: WalkGeometry | None = None,
 ) -> Estimate:
@@ -125,13 +116,13 @@ def monte_carlo_cost(
 
     Replication r draws its realization from ``replication_rng(
     master_seed, r)``; the estimate is a pure function of the arguments.
-    A ``geometry`` already built for ``tree`` and ``order`` is used as is.
+    A ``geometry`` already built for ``tree`` is used as is.
     """
     _check_policy(policy)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         raise BadParamsError(f"samples must be an integer >= 2, got {samples!r}")
     if geometry is None:
-        geometry = walk_geometry(tree, order)
+        geometry = walk_geometry(tree)
     cost = geometry.split_cost if policy == SPLIT else geometry.unsplit_cost
     costs = []
     for r in range(samples):
@@ -159,7 +150,6 @@ def evaluate(
     samples: int = 10_000,
     master_seed: int = 0,
     instance_id: str = "",
-    order: VisitOrder | None = None,
     geometry: WalkGeometry | None = None,
     bounds: BoundSet | None = None,
 ) -> EvalReport:
@@ -167,15 +157,14 @@ def evaluate(
 
     ``mode`` is ``"exact"`` or ``"monte_carlo"`` (``"mc"`` accepted).
     The ratio convention for a depot-only instance (combined_lb = 0) is
-    1.0.  ``geometry`` (of ``order``) and ``bounds`` are built unless
-    given, so callers evaluating both policies of an instance build them
-    once.
+    1.0.  ``geometry`` and ``bounds`` are built unless given, so callers
+    evaluating both policies of an instance build them once.
     """
     _check_policy(policy)
     if mode not in (EXACT, MONTE_CARLO, "mc"):
         raise BadParamsError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
     if geometry is None:
-        geometry = walk_geometry(tree, order)
+        geometry = walk_geometry(tree)
     if bounds is None:
         bounds = bound_set(tree, model)
     estimate = None
@@ -199,39 +188,3 @@ def evaluate(
         estimate=estimate,
     )
 
-
-def expected_trace_certificate(
-    tree: TreeInstance,
-    model: DemandModel,
-    policy: str,
-    order: VisitOrder | None = None,
-    limit: int | None = None,
-) -> float:
-    """Diagnostic: enumeration average of the per-trace certificate.
-
-    Runs the full policy on every (demand vector, initial load) pair and
-    averages :func:`~treevrpsd.bounds.trace_certificate`.  The value
-    always sits between the radial lower bound and the exact expected
-    cost; it is a sanity diagnostic, not an instance-level bound on the
-    optimum.
-    """
-    _check_policy(policy)
-    cap = resolve_enum_limit(limit)
-    capacity = tree.capacity
-    size = joint_support_size(model) * capacity
-    if size > cap:
-        raise TooLargeError(
-            f"certificate enumeration needs {format_count(size)} runs, "
-            f"over the limit {format_count(cap)}"
-        )
-    seq = dfs_order(tree) if order is None else order
-    run = run_split if policy == SPLIT else run_unsplit
-    total = math.fsum(
-        prob
-        * math.fsum(
-            trace_certificate(run(tree, seq, Realization(q, load)), tree)
-            for load in range(1, capacity + 1)
-        )
-        for q, prob in enumerate_joint(model, limit=cap)
-    )
-    return total / capacity

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .bounds import clairvoyant_edge_lb  # noqa: F401  (re-exported: edge mode is its expectation)
+# The benchmark tracer (perfbench/tracing.py) wraps oracle.clairvoyant_edge_lb by name.
+from .bounds import clairvoyant_edge_lb  # noqa: F401
 from .demand import DemandModel, DemandPMF, enumerate_joint
 from .errors import BadParamsError, InconsistentRealizationError, TooLargeError
 from .tree import TreeInstance, dfs_order
@@ -229,16 +230,15 @@ def expected_clairvoyant_lb(
     tree: TreeInstance,
     model: DemandModel,
     mode: str = EDGE,
-    limit: int | None = None,
 ) -> float:
     """Expectation of a per-realization clairvoyant lower bound.
 
     ``edge`` mode is the closed-form expectation of the edge-crossing
-    bound, valid for both delivery policies; it enumerates nothing and
-    ignores ``limit``.  ``partition`` averages the optimal unsplit
-    partition cost over every joint demand vector, bounds unsplit
-    policies only, and raises ``TooLargeError`` when the joint support
-    exceeds the enumeration limit.
+    bound, valid for both delivery policies; it enumerates nothing, so
+    the enumeration limit does not apply.  ``partition`` averages the
+    optimal unsplit partition cost over every joint demand vector,
+    bounds unsplit policies only, and raises ``TooLargeError`` when the
+    joint support exceeds the enumeration limit.
     """
     if mode == EDGE:
         return _expected_edge_lb(tree, model)
@@ -251,5 +251,5 @@ def expected_clairvoyant_lb(
         )
     return math.fsum(
         prob * optimal_unsplit_partition(tree, q).cost
-        for q, prob in enumerate_joint(model, limit=limit)
+        for q, prob in enumerate_joint(model)
     )

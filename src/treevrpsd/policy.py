@@ -53,29 +53,12 @@ POLICIES = (SPLIT, UNSPLIT)
 
 
 @dataclass(frozen=True)
-class Tour:
-    """Maximal depot-to-depot segment of the walk.
-
-    ``customers_served`` lists (vertex, units) in service order;
-    ``farthest`` is the served vertex of maximal depot distance (lowest
-    index on ties, ``None`` if the segment served nobody) and ``length``
-    is the segment's travel distance.
-    """
-
-    customers_served: tuple[tuple[int, int], ...]
-    load_dispatched: int
-    farthest: int | None
-    length: float
-
-
-@dataclass(frozen=True)
 class RunTrace:
     """Complete record of one policy execution.
 
     ``events`` is the chronological log: ``("move", frm, to, dist)``,
     ``("serve", customer, units, load_before, load_after)``, and
-    ``("breakpoint", customer, kind)`` entries in execution order;
-    :func:`trace_tours` derives the depot-to-depot tours from it.
+    ``("breakpoint", customer, kind)`` entries in execution order.
     ``post_customer_loads`` gives the on-board stock at the moment the
     vehicle leaves each customer for the next a priori stop (or ends
     the run), in visiting order.
@@ -103,36 +86,6 @@ def _check_realization(tree: TreeInstance, r: Realization) -> None:
     load = r.initial_load
     if not isinstance(load, int) or isinstance(load, bool) or not (1 <= load <= q):
         raise InconsistentRealizationError(f"initial load {describe_int(load)} outside 1..{q}")
-
-
-def trace_tours(trace: RunTrace, tree: TreeInstance) -> tuple[Tour, ...]:
-    """The trace's maximal depot-to-depot tours, in execution order."""
-    depot_dist = tree.depot_dist
-    tours: list[Tour] = []
-    seg_lengths: list[float] = []
-    seg_serves: list[tuple[int, int]] = []
-    for ev in trace.events:
-        if ev[0] == "move":
-            _, _, to, dist = ev
-            seg_lengths.append(dist)
-            if to == 0:
-                farthest = None
-                if seg_serves:
-                    best = max(depot_dist[v] for v, _ in seg_serves)
-                    farthest = min(v for v, _ in seg_serves if depot_dist[v] == best)
-                tours.append(
-                    Tour(
-                        customers_served=tuple(seg_serves),
-                        load_dispatched=sum(u for _, u in seg_serves),
-                        farthest=farthest,
-                        length=math.fsum(seg_lengths),
-                    )
-                )
-                seg_lengths = []
-                seg_serves = []
-        elif ev[0] == "serve":
-            seg_serves.append((ev[1], ev[2]))
-    return tuple(tours)
 
 
 def _walk_legs(tree: TreeInstance, seq: tuple[int, ...]) -> tuple[float, ...]:

@@ -165,12 +165,6 @@ def _check_vertex(tree: TreeInstance, v: int) -> None:
         raise UnknownVertexError(f"vertex {v!r} outside 0..{tree.vertex_count - 1}")
 
 
-def depot_distance(tree: TreeInstance, i: int) -> float:
-    """Distance from the depot to vertex ``i`` along the unique path."""
-    _check_vertex(tree, i)
-    return tree.depot_dist[i]
-
-
 def lowest_common_ancestor(tree: TreeInstance, i: int, j: int) -> int:
     _check_vertex(tree, i)
     _check_vertex(tree, j)

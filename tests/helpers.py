@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -581,3 +582,60 @@ def breakpoint_probability_exact(demands: Sequence[int], capacity: int, position
         if position in arithmetic_breakpoints(demands, load, capacity)
     )
     return Fraction(hits, capacity)
+
+
+# -- the replaced tour decomposition ------------------------------------------------
+
+@dataclass(frozen=True)
+class Tour:
+    """Maximal depot-to-depot segment of the walk.
+
+    ``customers_served`` lists (vertex, units) in service order;
+    ``farthest`` is the served vertex of maximal depot distance (lowest
+    index on ties, ``None`` if the segment served nobody) and ``length``
+    is the segment's travel distance.
+    """
+
+    customers_served: tuple[tuple[int, int], ...]
+    load_dispatched: int
+    farthest: int | None
+    length: float
+
+
+def trace_tours(trace, tree: TreeInstance) -> tuple[Tour, ...]:
+    """The trace's maximal depot-to-depot tours, in execution order."""
+    depot_dist = tree.depot_dist
+    tours: list[Tour] = []
+    seg_lengths: list[float] = []
+    seg_serves: list[tuple[int, int]] = []
+    for ev in trace.events:
+        if ev[0] == "move":
+            _, _, to, dist = ev
+            seg_lengths.append(dist)
+            if to == 0:
+                farthest = None
+                if seg_serves:
+                    best = max(depot_dist[v] for v, _ in seg_serves)
+                    farthest = min(v for v, _ in seg_serves if depot_dist[v] == best)
+                tours.append(
+                    Tour(
+                        customers_served=tuple(seg_serves),
+                        load_dispatched=sum(u for _, u in seg_serves),
+                        farthest=farthest,
+                        length=math.fsum(seg_lengths),
+                    )
+                )
+                seg_lengths = []
+                seg_serves = []
+        elif ev[0] == "serve":
+            seg_serves.append((ev[1], ev[2]))
+    return tuple(tours)
+
+
+def tour_certificate(trace, tree: TreeInstance) -> float:
+    """``trace_certificate`` summed over :func:`trace_tours`' tours."""
+    return (2.0 / tree.capacity) * math.fsum(
+        tree.depot_dist[t.farthest] * t.load_dispatched
+        for t in trace_tours(trace, tree)
+        if t.farthest is not None
+    )

@@ -22,7 +22,7 @@ from treevrpsd import (
     trace_certificate,
 )
 
-from helpers import random_edges, random_model
+from helpers import random_edges, random_model, tour_certificate
 
 
 def test_e1_bound_values():
@@ -88,6 +88,22 @@ def test_trace_certificate_never_exceeds_total():
         for run in (run_split, run_unsplit):
             trace = run(tree, order, Realization(demands, load))
             assert trace_certificate(trace, tree) <= trace.total_length + 1e-9
+
+
+def test_trace_certificate_matches_tour_oracle():
+    # one pass over the events sums the same products, in the same order,
+    # as the tour decomposition in helpers: the values agree bit for bit
+    rng = random.Random(32)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        capacity = rng.randint(1, 5)
+        tree = build_tree(random_edges(rng, n), capacity)
+        order = dfs_order(tree)
+        demands = tuple(rng.randint(1, capacity) for _ in range(n))
+        for load in range(1, capacity + 1):
+            for run in (run_split, run_unsplit):
+                trace = run(tree, order, Realization(demands, load))
+                assert trace_certificate(trace, tree) == tour_certificate(trace, tree)
 
 
 def test_clairvoyant_edge_lb_frozen_values():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -186,7 +187,20 @@ def test_simulate_demands_require_load(capsys, corpus_dir):
     # past the interpreter's 4300-digit limit on int(str)
     (["--demands", "1," + "9" * 5000, "--load", "1"],
      "--demands must be comma-separated integers: entry 1 is '99999999999999999999' ... (5000 characters)"),
-], ids=["huge-load", "huge-demand", "bad-entry", "over-digit-limit"])
+    (["--load", "9" * 5000], "--load must be an integer: value is '99999999999999999999' ... (5000 characters)"),
+    # int() reads these too; only ASCII digits are taken
+    (["--demands", " +2,1", "--load", "1"], "--demands must be comma-separated integers: entry 0 is ' +2'"),
+    (["--demands", "1_0,1", "--load", "1"], "--demands must be comma-separated integers: entry 0 is '1_0'"),
+    (["--demands", "1,\uff12", "--load", "1"], "--demands must be comma-separated integers: entry 1 is '\uff12'"),
+    (["--demands", "2,1", "--load", "0_1"], "--load must be an integer: value is '0_1'"),
+    (["--demands", "2,1", "--load", " 1"], "--load must be an integer: value is ' 1'"),
+    (["--demands", "2,1", "--load", "\uff11"], "--load must be an integer: value is '\uff11'"),
+    (["--load", "-1"], "--load must be an integer: value is '-1'"),
+], ids=[
+    "huge-load", "huge-demand", "bad-entry", "over-digit-limit", "load-over-digit-limit",
+    "signed-demand", "underscore-demand", "fullwidth-demand",
+    "underscore-load", "spaced-load", "fullwidth-load", "negative-load",
+])
 def test_simulate_errors_stay_short(capsys, corpus_dir, argv, message):
     code, _, stderr = run_cli(
         capsys, "simulate", "--instance", str(corpus_dir / "E1.json"), "--policy", "split", *argv
@@ -277,6 +291,21 @@ def test_evaluate_exact_over_limit_exits_3(tmp_path, capsys, corpus_dir, monkeyp
     assert rows["unsplit"]["sharpened_ratio"] == ""
     assert rows["split"]["clairvoyant_lb"] == "2.0"
     assert all(row["mode"] == "exact" for row in rows.values())
+
+
+# SHA-256 of report's CSV and plot file on corpus/, pinned so that later
+# changes keep the report byte for byte (CPython 3.11, Linux x86-64).
+CORPUS_REPORT_SHA256 = "b829a1f6554dd69dc6cbb54277ff89b66a454716b493c1f0a926c1f31d0c7bae"
+CORPUS_PLOT_SHA256 = "e36dc11d2dc7a7271fc3df27f4027e92e68b8eddd3a5e9057cbc9da7af0c3fec"
+
+
+def test_report_bytes_on_corpus_are_pinned(tmp_path, capsys, corpus_dir):
+    out_csv = tmp_path / "report.csv"
+    code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus_dir), "--out-csv", str(out_csv))
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == CORPUS_REPORT_SHA256
+    plot = tmp_path / "report.plot.csv"
+    assert hashlib.sha256(plot.read_bytes()).hexdigest() == CORPUS_PLOT_SHA256
 
 
 def test_report_over_worked_examples(tmp_path, capsys, corpus_dir):
@@ -547,18 +576,29 @@ def test_console_entry_point_runs():
 
 
 def test_benchmark_tracer_finds_every_traced_name():
-    # perfbench/tracing.py wraps program names (policy.path_distance,
-    # WalkGeometry.split_cost, oracle.clairvoyant_edge_lb, ...) where the
-    # modules import them; constructing a Tracer looks every one up, so a
-    # rename that would break the benchmark's traced mode fails here.
+    # perfbench/tracing.py wraps program names where the modules import them
+    # (evaluator.enumerate_joint, oracle.clairvoyant_edge_lb,
+    # policy.path_distance, ...), so some imports exist only for the tracer.
+    # Dropping one, or renaming a traced method, fails here rather than in
+    # the benchmark's traced mode.
+    import importlib
     import importlib.util
-
-    import treevrpsd.cli  # noqa: F401  (the tracer reads the loaded modules)
 
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+
+    def module(name):
+        return importlib.import_module(f"{tracing.PACKAGE}.{name}")
+
+    missing = [f"{m}.{name}" for m, name, _ in tracing.FUNCTIONS if not hasattr(module(m), name)]
+    missing += [
+        f"{m}.{cls}.{method}"
+        for m, cls, method, _ in tracing.METHODS
+        if method not in vars(getattr(module(m), cls, object))
+    ]
+    assert missing == []
     tracing.Tracer()
 
 

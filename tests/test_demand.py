@@ -13,6 +13,7 @@ from treevrpsd import (
     BadParamsError,
     DemandModel,
     DemandPMF,
+    GeneratorParams,
     MassAtZeroError,
     NegativeMassError,
     NotNormalizedError,
@@ -20,6 +21,7 @@ from treevrpsd import (
     Realization,
     TooLargeError,
     enumerate_joint,
+    generate,
     joint_support_size,
     make_pmf,
     point_model,
@@ -223,15 +225,28 @@ def test_enumerate_joint_weights_sum_to_one():
     assert ((2, 3), 0.25) in combos
 
 
-def test_enumerate_joint_raises_eagerly_over_limit():
+def test_enumerate_joint_raises_eagerly_over_limit(monkeypatch):
     two = make_pmf([(1, 0.5), (2, 0.5)], capacity=2)
     model = DemandModel(pmfs=(two, two, two), capacity=2)
     assert joint_support_size(model) == 8
     # the call itself must raise, before the first item is drawn
+    monkeypatch.setenv(ENUM_LIMIT_ENV, "4")
     with pytest.raises(TooLargeError):
-        enumerate_joint(model, limit=4)
+        enumerate_joint(model)
+    monkeypatch.setenv(ENUM_LIMIT_ENV, "0")
     with pytest.raises(BadParamsError):
-        enumerate_joint(model, limit=0)
+        enumerate_joint(model)
+
+
+def test_enumerate_joint_over_limit_message_is_bounded(monkeypatch):
+    monkeypatch.delenv(ENUM_LIMIT_ENV, raising=False)
+    _, model = generate(
+        GeneratorParams(n=1000, capacity=10, topology="random-attachment", pmf="unif:1-10", seed=0)
+    )
+    with pytest.raises(TooLargeError) as info:
+        enumerate_joint(model)
+    assert len(str(info.value)) < 200
+    assert "about 10^1000 vectors" in str(info.value)
 
 
 def test_resolve_enum_limit_precedence(monkeypatch):
@@ -239,7 +254,6 @@ def test_resolve_enum_limit_precedence(monkeypatch):
     assert resolve_enum_limit() == DEFAULT_ENUM_LIMIT
     monkeypatch.setenv(ENUM_LIMIT_ENV, "123")
     assert resolve_enum_limit() == 123
-    assert resolve_enum_limit(77) == 77
     monkeypatch.setenv(ENUM_LIMIT_ENV, "not-a-number")
     with pytest.raises(BadParamsError):
         resolve_enum_limit()

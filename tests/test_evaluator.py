@@ -9,7 +9,6 @@ from treevrpsd import (
     BadParamsError,
     DemandModel,
     Realization,
-    TooLargeError,
     bound_set,
     build_tree,
     dfs_order,
@@ -22,7 +21,7 @@ from treevrpsd import (
     run_split,
     run_unsplit,
 )
-from treevrpsd.evaluator import UB_REL_TOL, expected_trace_certificate
+from treevrpsd.evaluator import UB_REL_TOL
 
 from helpers import pmf_dicts, random_edges, random_model, independent_expected_cost
 
@@ -82,35 +81,6 @@ def test_exact_matches_library_free_enumeration():
             assert exact_expected_cost(tree, model, policy) == pytest.approx(want, rel=1e-9)
 
 
-def test_exact_rejects_oversized_enumeration():
-    # Exact expectation is a closed form; the certificate diagnostic is
-    # the evaluator path that still enumerates under the limit.
-    tree = build_tree([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], capacity=3)
-    pmf = make_pmf([(1, 0.5), (2, 0.5)], capacity=3)
-    model = DemandModel(pmfs=(pmf, pmf, pmf), capacity=3)
-    # 8 joint vectors * 3 loads = 24 trace runs
-    assert expected_trace_certificate(tree, model, "split", limit=24) > 0
-    with pytest.raises(TooLargeError) as info:
-        expected_trace_certificate(tree, model, "split", limit=23)
-    assert "24 runs" in str(info.value)
-    assert "limit 23" in str(info.value)
-
-
-def test_exact_respects_env_limit(monkeypatch):
-    from treevrpsd.demand import ENUM_LIMIT_ENV
-
-    tree = build_tree([(0, 1, 1.0)], capacity=2)
-    model = point_model((1,), capacity=2)
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "1")
-    with pytest.raises(TooLargeError):
-        expected_trace_certificate(tree, model, "split")  # needs 1 * 2 = 2 runs
-    # the closed form ignores the limit
-    assert exact_expected_cost(tree, model, "split") == 2.0
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "2")
-    # either load gives one tour dispatching 1 unit to depth 1: (2/2) * 1 * 1
-    assert expected_trace_certificate(tree, model, "split") == 1.0
-
-
 def test_exact_scales_linearly_on_deep_path():
     n = 100_000
     tree = build_tree([(v - 1, v, 1.0) for v in range(1, n + 1)], capacity=10)
@@ -124,25 +94,6 @@ def test_exact_scales_linearly_on_deep_path():
     # unsplit doubles every deficit round trip but the last one
     want_unsplit = 2.0 * n + reroute + 0.9 * n * (n - 1) + 0.9 * n
     assert exact_expected_cost(tree, model, "unsplit") == pytest.approx(want_unsplit, rel=1e-9)
-
-
-def test_certificate_over_limit_message_is_bounded(monkeypatch):
-    from treevrpsd import GeneratorParams, generate
-    from treevrpsd.demand import ENUM_LIMIT_ENV
-
-    monkeypatch.delenv(ENUM_LIMIT_ENV, raising=False)
-    tree, model = generate(
-        GeneratorParams(n=1000, capacity=10, topology="random-attachment", pmf="unif:1-10", seed=0)
-    )
-    with pytest.raises(TooLargeError) as info:
-        expected_trace_certificate(tree, model, "split")
-    message = str(info.value)
-    assert len(message) < 200
-    assert "about 10^1001 runs" in message
-    with pytest.raises(TooLargeError) as info:
-        enumerate_joint(model)
-    assert len(str(info.value)) < 200
-    assert "about 10^1000 vectors" in str(info.value)
 
 
 def test_monte_carlo_reproducible_and_consistent(e4):
@@ -230,16 +181,3 @@ def test_formula_ub_holds_with_declared_tolerance():
         assert split <= bounds.split_ub * (1.0 + UB_REL_TOL)
         assert unsplit <= bounds.unsplit_ub * (1.0 + UB_REL_TOL)
         assert split <= unsplit + 1e-9
-
-
-def test_expected_certificate_below_expected_cost():
-    rng = random.Random(44)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        capacity = rng.randint(1, 4)
-        tree = build_tree(random_edges(rng, n), capacity)
-        model = random_model(rng, tree)
-        for policy in ("split", "unsplit"):
-            certificate = expected_trace_certificate(tree, model, policy)
-            cost = exact_expected_cost(tree, model, policy)
-            assert certificate <= cost + 1e-9

@@ -20,6 +20,7 @@ from treevrpsd import (
     run_unsplit,
 )
 from treevrpsd.bounds import clairvoyant_edge_lb, tour_floor
+from treevrpsd.demand import ENUM_LIMIT_ENV
 from treevrpsd.oracle import PARTITION_MAX_CUSTOMERS
 
 from helpers import (
@@ -151,13 +152,14 @@ def test_expected_clairvoyant_partition_size_guard():
     assert expected_clairvoyant_lb(tree, model, mode="edge") > 0
 
 
-def test_expected_clairvoyant_respects_enum_limit():
+def test_expected_clairvoyant_respects_enum_limit(monkeypatch):
     tree = build_tree([(0, 1, 1.0)], capacity=2)
     model = random_uniform_two(tree)
+    monkeypatch.setenv(ENUM_LIMIT_ENV, "1")
     with pytest.raises(TooLargeError):
-        expected_clairvoyant_lb(tree, model, mode="partition", limit=1)
+        expected_clairvoyant_lb(tree, model, mode="partition")
     # the edge closed form enumerates nothing, so the limit does not apply
-    assert expected_clairvoyant_lb(tree, model, mode="edge", limit=1) == 2.0
+    assert expected_clairvoyant_lb(tree, model, mode="edge") == 2.0
 
 
 def _random_shape(rng: random.Random, shape: str, n: int) -> list[tuple[int, int, float]]:

@@ -25,7 +25,7 @@ from treevrpsd import (
     run_unsplit,
     sample_realization,
 )
-from treevrpsd.policy import POLICIES, trace_tours
+from treevrpsd.policy import POLICIES
 
 from helpers import (
     arithmetic_breakpoints,
@@ -37,6 +37,7 @@ from helpers import (
     per_event_format_trace,
     random_edges,
     shuffled_preorder,
+    trace_tours,
 )
 
 E1_EDGES = [(0, 1, 1.0), (1, 2, 1.0)]

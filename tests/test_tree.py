@@ -19,7 +19,7 @@ from treevrpsd import (
     dfs_order,
     path_distance,
 )
-from treevrpsd.tree import depot_distance, lowest_common_ancestor
+from treevrpsd.tree import lowest_common_ancestor
 
 from helpers import (
     brute_distances,
@@ -137,7 +137,7 @@ def test_distances_against_brute_force():
         tree = build_tree(edges, capacity=3)
         dist = brute_distances(edges, n + 1)
         for i in range(n + 1):
-            assert math.isclose(depot_distance(tree, i), dist[0][i], rel_tol=1e-12)
+            assert math.isclose(tree.depot_dist[i], dist[0][i], rel_tol=1e-12)
             for j in range(n + 1):
                 assert math.isclose(
                     path_distance(tree, i, j), dist[i][j], rel_tol=1e-9, abs_tol=1e-12
@@ -156,16 +156,16 @@ def test_lowest_common_ancestor_matches_path_identity():
                 assert a == lowest_common_ancestor(tree, j, i)
                 # the meeting vertex lies on both depot paths
                 assert path_distance(tree, i, j) == pytest.approx(
-                    depot_distance(tree, i)
-                    + depot_distance(tree, j)
-                    - 2.0 * depot_distance(tree, a)
+                    tree.depot_dist[i]
+                    + tree.depot_dist[j]
+                    - 2.0 * tree.depot_dist[a]
                 )
 
 
 def test_unknown_vertex_queries_raise():
     tree = build_tree(PATH3, capacity=2)
     with pytest.raises(UnknownVertexError):
-        depot_distance(tree, 4)
+        path_distance(tree, 4, 0)
     with pytest.raises(UnknownVertexError):
         path_distance(tree, -1, 0)
     with pytest.raises(UnknownVertexError):
