@@ -1,11 +1,10 @@
 """Command-line front end: generate, inspect, simulate, evaluate, report.
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or validation
-error, 3 enumeration over the configured limit.  Exact evaluation is a
-closed form, so no subcommand enumerates demand vectors except the
-partition oracle inside ``report``, which leaves its cell empty instead
-of failing; exit 3 is kept for ``TooLargeError`` reaching the top level.
-All outputs are byte-reproducible for identical flags and seeds.
+error.  Exact evaluation is a closed form, so no subcommand enumerates
+demand vectors except the partition oracle inside ``report``, which
+leaves its cell empty when the joint support is over the enumeration
+cap.  All outputs are byte-reproducible for identical flags and seeds.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import csv
 import functools
 import json
 import sys
+from bisect import bisect_right
 from pathlib import Path
 from typing import Sequence
 
@@ -25,6 +25,7 @@ from .evaluator import EXACT, MONTE_CARLO, EvalReport, evaluate, walk_geometry
 from .instance_io import (
     TOPOLOGIES,
     GeneratorParams,
+    digits_int,
     generate_document,
     parse_document,
     document_to_instance,
@@ -49,10 +50,12 @@ REPORT_COLUMNS = (
     "sharpened_ratio",
 )
 
-# Ratio histogram for the plot-data file: [1.0, 3.0) in steps of 0.1.
+# Ratio histogram for the plot-data file: [1.0, 3.0) in steps of 0.1,
+# with the bin edges as the file prints them.
 HIST_BINS = 20
 HIST_LOW = 1.0
 HIST_STEP = 0.1
+HIST_EDGES = tuple(format(HIST_LOW + i * HIST_STEP, ".2f") for i in range(HIST_BINS + 1))
 
 
 def _cell(value) -> str:
@@ -66,7 +69,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _load_instance(path: str):
+def _load_instance(path: str | Path):
     text = Path(path).read_text(encoding="utf-8")
     doc = parse_document(text)
     tree, model = document_to_instance(doc)
@@ -102,17 +105,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _parse_digits(text: str, what: str) -> int:
     """``text`` as an integer when it is ASCII digits only.
 
-    ``int()`` alone also reads signs, spaces, underscores and non-ASCII
-    digits.  ``what`` names the value; the text is cut so the message
-    stays short.
+    ``what`` names the value; the text is cut so the message stays short.
     """
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int(str) converts
-            pass
-    shown = repr(text[:20]) + (f" ... ({len(text)} characters)" if len(text) > 20 else "")
-    raise BadParamsError(f"{what} is {shown}")
+    try:
+        return digits_int(text)
+    except ValueError:
+        shown = repr(text[:20]) + (f" ... ({len(text)} characters)" if len(text) > 20 else "")
+        raise BadParamsError(f"{what} is {shown}") from None
 
 
 def _parse_demand_list(text: str) -> tuple[int, ...]:
@@ -221,21 +220,19 @@ def _evaluate_rows(doc, tree, model) -> list[dict]:
 
 
 def _write_histogram(path: Path, rows: Sequence[dict]) -> None:
+    # A ratio on a printed edge counts in the bin that starts there.
+    # Ratios below 1 or at/above 3 cannot occur for these policies; they
+    # would count in the end bins, so a row is never dropped silently.
+    inner_edges = [float(edge) for edge in HIST_EDGES[1:-1]]
     counts = {policy: [0] * HIST_BINS for policy in POLICIES}
     for row in rows:
-        # Ratios below 1 or at/above 3 cannot occur for these policies;
-        # clamp defensively so a row is never dropped silently.
-        index = int((row["ratio_vs_lb"] - HIST_LOW) / HIST_STEP)
-        counts[row["policy"]][min(max(index, 0), HIST_BINS - 1)] += 1
+        counts[row["policy"]][bisect_right(inner_edges, row["ratio_vs_lb"])] += 1
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["policy", "bin_low", "bin_high", "count"])
         for policy in POLICIES:
             for i, count in enumerate(counts[policy]):
-                low = HIST_LOW + i * HIST_STEP
-                writer.writerow(
-                    [policy, format(low, ".2f"), format(low + HIST_STEP, ".2f"), count]
-                )
+                writer.writerow([policy, HIST_EDGES[i], HIST_EDGES[i + 1], count])
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -249,11 +246,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     failures: list[tuple[str, str]] = []
     for path in sorted(corpus_dir.glob("*.json")):
         try:
-            text = path.read_text(encoding="utf-8")
-            doc = parse_document(text)
-            tree, model = document_to_instance(doc)
-            rows.extend(_evaluate_rows(doc, tree, model))
-        except (ValidationError, TooLargeError, OSError) as exc:
+            rows.extend(_evaluate_rows(*_load_instance(path)))
+        except (ValidationError, OSError) as exc:
             failures.append((path.name, str(exc)))
     rows.sort(key=lambda row: (row["instance"], row["policy"]))
 
@@ -350,9 +344,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadCapacityError,
-    BadParamsError,
     MassAtZeroError,
     NegativeMassError,
     NotNormalizedError,
@@ -33,10 +31,9 @@ from .errors import (
 
 NORMALIZATION_TOL = 1e-12
 
-# Joint enumeration is capped to keep the partition oracle interactive;
-# the TREEVRPSD_ENUM_LIMIT environment variable overrides the default.
-DEFAULT_ENUM_LIMIT = 10**6
-ENUM_LIMIT_ENV = "TREEVRPSD_ENUM_LIMIT"
+# Joint enumeration is capped at a fixed 10^6 vectors to keep the
+# partition oracle interactive.
+ENUM_LIMIT = 10**6
 
 # Counts above this are printed as a power of ten, not digit by digit.
 EXACT_COUNT_MAX = 10**12
@@ -51,20 +48,6 @@ def format_count(count: int) -> str:
     if count <= EXACT_COUNT_MAX:
         return str(count)
     return f"about 10^{round(math.log10(count))}"
-
-
-def resolve_enum_limit() -> int:
-    """Effective enumeration cap: the env var, else the default."""
-    raw = os.environ.get(ENUM_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BadParamsError(f"{ENUM_LIMIT_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise BadParamsError(f"{ENUM_LIMIT_ENV} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -219,14 +202,13 @@ def enumerate_joint(model: DemandModel) -> Iterator[tuple[tuple[int, ...], float
 
     Vectors are emitted in odometer order (last customer fastest, values
     ascending).  Raises ``TooLargeError`` before yielding anything if
-    the joint support exceeds the enumeration limit.
+    the joint support exceeds ``ENUM_LIMIT``.
     """
-    cap = resolve_enum_limit()
     size = joint_support_size(model)
-    if size > cap:
+    if size > ENUM_LIMIT:
         raise TooLargeError(
             f"joint demand support has {format_count(size)} vectors, "
-            f"over the limit {format_count(cap)}"
+            f"over the limit {format_count(ENUM_LIMIT)}"
         )
 
     def generate() -> Iterator[tuple[tuple[int, ...], float]]:

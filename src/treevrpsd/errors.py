@@ -83,7 +83,8 @@ class InconsistentRealizationError(ValidationError):
 # -- resource limits and parameters --------------------------------------
 
 class TooLargeError(TreeVrpsdError):
-    """Exhaustive enumeration would exceed the configured limit."""
+    """Exhaustive search is over a fixed cap: ``demand.ENUM_LIMIT`` joint
+    vectors, or the partition oracle's customer count."""
 
 
 class BadParamsError(ValidationError):

@@ -47,6 +47,17 @@ class InstanceDocument:
 
 # -- parsing ---------------------------------------------------------------
 
+def digits_int(text: str) -> int:
+    """``int(text)`` for ASCII digits only; anything else raises ValueError.
+
+    ``int()`` alone also reads signs, spaces, underscores and non-ASCII
+    digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)  # ValueError past the int(str) digit limit
+
+
 def _require_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{where}: expected an integer, got {value!r}")
@@ -88,8 +99,11 @@ def _checked_demand(item, k: int) -> tuple[int, tuple[tuple[int, float], ...]]:
         raise SchemaError(f"{where}.pmf: expected a non-empty object")
     entries = []
     for key, prob in pmf_raw.items():
+        # An optional "-" and ASCII digits: a negative key then meets
+        # make_pmf's range check.
+        digits = key.removeprefix("-")
         try:
-            value = int(key)
+            value = digits_int(digits) if digits == key else -digits_int(digits)
         except ValueError:
             raise SchemaError(f"{where}.pmf: key {key!r} is not an integer") from None
         if type(prob) is not float:
@@ -286,17 +300,17 @@ def parse_pmf_spec(spec: str, capacity: int) -> DemandPMF:
     try:
         family, _, arg = spec.partition(":")
         if family == "det":
-            entries = [(int(arg), 1.0)]
+            entries = [(digits_int(arg), 1.0)]
         elif family == "unif":
             lo_s, _, hi_s = arg.partition("-")
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = digits_int(lo_s), digits_int(hi_s)
             if lo > hi:
                 raise BadParamsError(f"empty range {lo}-{hi}")
             weight = 1.0 / (hi - lo + 1)
             entries = [(k, weight) for k in range(lo, hi + 1)]
         elif family == "two":
             k1_s, p1_s, k2_s = arg.split(",")
-            k1, p1, k2 = int(k1_s), float(p1_s), int(k2_s)
+            k1, p1, k2 = digits_int(k1_s), float(p1_s), digits_int(k2_s)
             if not (0.0 <= p1 <= 1.0):
                 raise BadParamsError(f"probability {p1} outside [0,1]")
             entries = [(k1, p1), (k2, 1.0 - p1)]

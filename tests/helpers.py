@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -430,9 +431,11 @@ def itemwise_parse_document(text: str) -> InstanceDocument:
             raise SchemaError(f"{where}.pmf: expected a non-empty object")
         entries = []
         for key, prob in pmf_raw.items():
+            if not re.fullmatch(r"-?[0-9]+", key):
+                raise SchemaError(f"{where}.pmf: key {key!r} is not an integer")
             try:
                 value = int(key)
-            except ValueError:
+            except ValueError:  # past the int(str) digit limit
                 raise SchemaError(f"{where}.pmf: key {key!r} is not an integer") from None
             entries.append((value, _require_number(prob, f"{where}.pmf[{key!r}]")))
         demands.append((node, tuple(sorted(entries))))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -17,9 +18,8 @@ from treevrpsd import (
     parse_instance,
     replication_rng,
 )
-from treevrpsd import cli, evaluator, oracle
+from treevrpsd import cli, demand, evaluator, oracle
 from treevrpsd.cli import build_parser, main
-from treevrpsd.demand import ENUM_LIMIT_ENV
 
 from helpers import linear_scan_realization
 
@@ -261,31 +261,33 @@ def test_evaluate_mc_single_sample_exits_2(capsys, corpus_dir):
     assert "error:" in stderr
 
 
-def test_evaluate_exact_over_limit_exits_3(tmp_path, capsys, corpus_dir, monkeypatch):
-    # Exact evaluation no longer enumerates: a limit of 1 changes nothing
-    # there, and only the partition cell of the report is affected.
+def test_enum_limit_of_one_only_empties_the_partition_cell(tmp_path, capsys, corpus_dir, monkeypatch):
+    # Only the partition oracle enumerates: with a cap of 1 every
+    # subcommand still exits 0, exact evaluation gives the same value,
+    # and the report leaves just the unsplit partition cell empty.
     e4 = str(corpus_dir / "E4.json")
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "1")
-    code, stdout, stderr = run_cli(
-        capsys, "evaluate", "--instance", e4, "--policy", "split", "--mode", "exact",
-    )
-    assert code == 0
-    assert stderr == ""
-    limited = json.loads(stdout)
-    monkeypatch.delenv(ENUM_LIMIT_ENV)
-    _, stdout, _ = run_cli(
-        capsys, "evaluate", "--instance", e4, "--policy", "split", "--mode", "exact",
-    )
-    assert limited == json.loads(stdout)
-    assert limited["expected_cost"] == 2.5
+    exact = ("evaluate", "--instance", e4, "--policy", "split", "--mode", "exact")
+    _, unlimited, _ = run_cli(capsys, *exact)
+    monkeypatch.setattr(demand, "ENUM_LIMIT", 1)
+    code, stdout, stderr = run_cli(capsys, *exact)
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout) == json.loads(unlimited)
+    assert json.loads(stdout)["expected_cost"] == 2.5
+    for argv in (
+        ("gen", "--n", "3", "--capacity", "2", "--pmf", "unif:1-2", "--out", str(tmp_path / "g.json")),
+        ("bounds", "--instance", e4),
+        ("simulate", "--instance", e4, "--policy", "split"),
+        ("simulate", "--instance", e4, "--policy", "unsplit", "--seed", "7"),
+        ("evaluate", "--instance", e4, "--policy", "unsplit", "--mode", "mc", "--samples", "50"),
+    ):
+        assert run_cli(capsys, *argv)[::2] == (0, ""), argv
 
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "E4.json").write_text(Path(e4).read_text(encoding="utf-8"), encoding="utf-8")
     out_csv = tmp_path / "report.csv"
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "1")
-    code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))
-    assert code == 0
+    code, _, stderr = run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))
+    assert (code, stderr) == (0, "")
     rows = {row["policy"]: row for row in csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())}
     assert rows["unsplit"]["clairvoyant_lb"] == ""
     assert rows["unsplit"]["sharpened_ratio"] == ""
@@ -336,6 +338,39 @@ def test_report_over_worked_examples(tmp_path, capsys, corpus_dir):
     assert len(plot) == 41  # 20 bins per policy
     counts = [int(line.rsplit(",", 1)[1]) for line in plot[1:]]
     assert sum(counts) == 8
+
+
+def test_histogram_counts_a_ratio_on_an_edge_in_the_bin_above(tmp_path):
+    # Each of the 20 printed lower edges, as a ratio, counts in its own bin.
+    edges = [format(1.0 + i * 0.1, ".2f") for i in range(21)]
+    rows = [{"policy": "split", "ratio_vs_lb": float(low)} for low in edges[:-1]]
+    rows += [{"policy": "unsplit", "ratio_vs_lb": r} for r in (0.5, 1.25, 2.999, 3.0, 7.0)]
+    plot = tmp_path / "plot.csv"
+    cli._write_histogram(plot, rows)
+    lines = plot.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "policy,bin_low,bin_high,count"
+    assert lines[1:21] == [f"split,{low},{high},1" for low, high in zip(edges, edges[1:])]
+    unsplit = [int(line.rsplit(",", 1)[1]) for line in lines[21:]]
+    assert unsplit == [1, 0, 1] + [0] * 16 + [3]
+
+
+def test_report_files_an_edge_ratio_in_the_bin_it_starts(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    code, _, _ = run_cli(
+        capsys, "gen", "--n", "1", "--capacity", "5", "--topology", "path",
+        "--pmf", "det:2", "--out", str(corpus / "edge.json"),
+    )
+    assert code == 0
+    out_csv = tmp_path / "report.csv"
+    code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))
+    assert code == 0
+    rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert [row["ratio_vs_lb"] for row in rows] == ["1.2", "1.2"]
+    plot = (tmp_path / "report.plot.csv").read_text(encoding="utf-8").splitlines()
+    assert [line for line in plot[1:] if not line.endswith(",0")] == [
+        "split,1.20,1.30,1", "unsplit,1.20,1.30,1",
+    ]
 
 
 def test_report_large_instance_is_exact_with_bounds(tmp_path, capsys):
@@ -566,10 +601,15 @@ def test_report_missing_directory_exits_2(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # The child process finds the package where this suite imported it
+    # from, also when only pytest's own pythonpath setting put it there.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "treevrpsd", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "gen" in result.stdout and "report" in result.stdout
@@ -600,6 +640,29 @@ def test_benchmark_tracer_finds_every_traced_name():
     ]
     assert missing == []
     tracing.Tracer()
+
+
+def test_every_tracer_only_import_is_traced():
+    # The reverse of the check above: an import kept only for the tracer
+    # ("# noqa: F401" in src/) must still be a (module, name) pair in
+    # FUNCTIONS, so that one the benchmark stops wrapping does not linger.
+    import ast
+    import importlib.util
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {(module, name) for module, name, _ in tracing.FUNCTIONS}
+
+    kept = []
+    for path in sorted((root / "src" / "treevrpsd").glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                kept += [(path.stem, alias.asname or alias.name) for alias in node.names]
+    assert kept, "no tracer-only imports found"
+    assert [pair for pair in kept if pair not in traced] == []
 
 
 def test_scale_script_imports_resolve():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treevrpsd import (
-    BadParamsError,
+    BadCapacityError,
     DemandModel,
     DemandPMF,
     GeneratorParams,
@@ -28,12 +28,8 @@ from treevrpsd import (
     replication_rng,
     sample_realization,
 )
-from treevrpsd.demand import (
-    DEFAULT_ENUM_LIMIT,
-    ENUM_LIMIT_ENV,
-    NORMALIZATION_TOL,
-    resolve_enum_limit,
-)
+from treevrpsd import demand
+from treevrpsd.demand import NORMALIZATION_TOL
 from treevrpsd.instance_io import parse_pmf_spec
 
 from helpers import expectation, linear_scan_realization
@@ -49,6 +45,7 @@ def test_make_pmf_sorts_and_accumulates_duplicates():
 def test_make_pmf_drops_zero_mass_entries():
     pmf = make_pmf([(1, 1.0), (2, 0.0)], capacity=2)
     assert pmf.mass == ((1, 1.0),)
+    assert make_pmf([(0, 0.0), (1, 1.0)], capacity=2).mass == ((1, 1.0),)
 
 
 def test_make_pmf_validation():
@@ -64,6 +61,17 @@ def test_make_pmf_validation():
         make_pmf([(1, 0.9)], capacity=2)
     with pytest.raises(NotNormalizedError):
         make_pmf([(1, 0.5), (2, 0.5 + 1e-9)], capacity=2)
+    for capacity in (0, True, 2.0):
+        with pytest.raises(BadCapacityError) as info:
+            make_pmf([(1, 1.0)], capacity)
+        assert str(info.value) == f"capacity must be an integer >= 1, got {capacity!r}"
+    with pytest.raises(OutOfRangeError) as info:
+        make_pmf([(1.5, 1.0)], capacity=2)
+    assert str(info.value) == "demand value must be an integer, got 1.5"
+    for p in (math.inf, math.nan, "0.5"):
+        with pytest.raises(NegativeMassError) as info:
+            make_pmf([(1, p)], capacity=2)
+        assert str(info.value) == f"probability for demand 1 must be a finite real, got {p!r}"
     # tiny float error from dividing by three is within tolerance
     third = 1.0 / 3.0
     pmf = make_pmf([(1, third), (2, third), (3, third)], capacity=3)
@@ -88,6 +96,10 @@ def test_demand_model_rejects_support_above_capacity():
     good = make_pmf([(2, 1.0)], capacity=4)
     with pytest.raises(OutOfRangeError):
         DemandModel(pmfs=(good,), capacity=1)
+    for capacity in (0, True, 2.0):
+        with pytest.raises(BadCapacityError) as info:
+            DemandModel(pmfs=(), capacity=capacity)
+        assert str(info.value) == f"capacity must be an integer >= 1, got {capacity!r}"
 
 
 def test_demand_model_checks_each_distinct_pmf_once(monkeypatch):
@@ -230,16 +242,14 @@ def test_enumerate_joint_raises_eagerly_over_limit(monkeypatch):
     model = DemandModel(pmfs=(two, two, two), capacity=2)
     assert joint_support_size(model) == 8
     # the call itself must raise, before the first item is drawn
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "4")
+    monkeypatch.setattr(demand, "ENUM_LIMIT", 4)
     with pytest.raises(TooLargeError):
         enumerate_joint(model)
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "0")
-    with pytest.raises(BadParamsError):
-        enumerate_joint(model)
+    monkeypatch.setattr(demand, "ENUM_LIMIT", 8)
+    assert len(list(enumerate_joint(model))) == 8
 
 
-def test_enumerate_joint_over_limit_message_is_bounded(monkeypatch):
-    monkeypatch.delenv(ENUM_LIMIT_ENV, raising=False)
+def test_enumerate_joint_over_limit_message_is_bounded():
     _, model = generate(
         GeneratorParams(n=1000, capacity=10, topology="random-attachment", pmf="unif:1-10", seed=0)
     )
@@ -247,19 +257,6 @@ def test_enumerate_joint_over_limit_message_is_bounded(monkeypatch):
         enumerate_joint(model)
     assert len(str(info.value)) < 200
     assert "about 10^1000 vectors" in str(info.value)
-
-
-def test_resolve_enum_limit_precedence(monkeypatch):
-    monkeypatch.delenv(ENUM_LIMIT_ENV, raising=False)
-    assert resolve_enum_limit() == DEFAULT_ENUM_LIMIT
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "123")
-    assert resolve_enum_limit() == 123
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "not-a-number")
-    with pytest.raises(BadParamsError):
-        resolve_enum_limit()
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "-5")
-    with pytest.raises(BadParamsError):
-        resolve_enum_limit()
 
 
 @settings(max_examples=80, deadline=None)

@@ -18,6 +18,7 @@ from treevrpsd import (
     GeneratorParams,
     InstanceSyntaxError,
     NotNormalizedError,
+    OutOfRangeError,
     SchemaError,
     build_tree,
     generate,
@@ -26,6 +27,7 @@ from treevrpsd import (
     parse_document,
     parse_instance,
     parse_pmf_spec,
+    point_model,
     serialize_document,
     serialize_instance,
     write_corpus,
@@ -73,6 +75,11 @@ def test_serialize_then_parse_round_trips():
     assert model2 == model
     # canonical text is a fixed point
     assert serialize_document(doc) == text
+    # E1 has two customers and capacity 2
+    for other in (point_model((1,), 2), point_model((1, 1), 3)):
+        with pytest.raises(BadParamsError) as info:
+            document_from_instance(tree, other, "x")
+        assert str(info.value) == "tree and demand model disagree on customers or capacity"
 
 
 def test_serialize_orders_edges_and_pmf_keys():
@@ -117,6 +124,12 @@ def test_parse_rejects_bad_json_and_schema():
             '{"name": "x", "capacity": 2, "edges": [], '
             '"demands": [{"node": 1, "pmf": {"one": 1.0}}]}'
         )
+    for key in ("edges", "demands"):
+        raw = {"name": "x", "capacity": 2, "edges": [], "demands": []}
+        raw[key] = {}
+        with pytest.raises(SchemaError) as info:
+            parse_document(json.dumps(raw))
+        assert str(info.value) == f"{key}: expected an array"
 
 
 def test_parse_rejects_demand_node_mismatch():
@@ -288,7 +301,7 @@ def _mutate(raw: dict, rng: random.Random) -> None:
         if choice == 0:
             rng.choice(demands)["pmf"] = rng.choice([{}, [], None, 0.5])
         elif choice == 1:
-            pmf[rng.choice(["x", "01", " 2", "1.5", "-1", "0"])] = rng.choice([0.5, 0.0, -0.0])
+            pmf[rng.choice(["x", "01", " 2", "1.5", "-1", "0", "1_0", "+3", "\uff12", "--1"])] = rng.choice([0.5, 0.0, -0.0])
         else:
             pmf[rng.choice(list(pmf))] = rng.choice(
                 [1, True, 1.0, [0.5], {"a": 1}, "0.5", math.nan, -0.0, 0, 10**30, None]
@@ -453,6 +466,29 @@ def test_parse_pmf_spec_rejects_garbage():
     ]:
         with pytest.raises(BadParamsError):
             parse_pmf_spec(bad, 3)
+    # ASCII digits only: int() alone reads 1_0 as 10, +1 as 1, and
+    # fullwidth digits as digits
+    for bad in ["det:1_0", "unif:+1-1_0", "det: 2", "det:+3", "det:\uff12", "two:+1,0.5,2", "two:1,0.5,1_0"]:
+        with pytest.raises(BadParamsError) as info:
+            parse_pmf_spec(bad, 12)
+        assert str(info.value) == f"malformed pmf spec {bad!r}"
+
+
+def test_pmf_keys_are_an_optional_minus_and_ascii_digits():
+    for key in ["1_0", " 2", "+3", "\uff12", "2 ", "--1", "-"]:
+        for parse in (parse_document, itemwise_parse_document):
+            with pytest.raises(SchemaError) as info:
+                parse(_demands_document(json.dumps({key: 1.0})))
+            assert str(info.value) == f"demands[0].pmf: key {key!r} is not an integer"
+    assert parse_document(_demands_document('{"03": 1.0}')).demands == ((1, ((3, 1.0),)),)
+    # a negative key parses and meets the range check of make_pmf
+    doc = parse_document(json.dumps({
+        "name": "x", "capacity": 3, "edges": [[0, 1, 1.0]],
+        "demands": [{"node": 1, "pmf": {"-1": 0.5, "1": 0.5}}],
+    }))
+    with pytest.raises(OutOfRangeError) as info:
+        document_to_instance(doc)
+    assert str(info.value) == "demands[0] (node 1): demand -1 outside 0..3"
 
 
 def test_generator_topologies():
@@ -506,6 +542,12 @@ def test_generator_validation():
         )
     with pytest.raises(BadParamsError):
         generate(GeneratorParams(n=2, capacity=2, topology="path", pmf="det:3", seed=0))
+    with pytest.raises(BadParamsError) as info:
+        generate(
+            GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
+                            length_range=("a", 1.0))
+        )
+    assert str(info.value) == "length_range must hold two reals, got ('a', 1.0)"
 
 
 def test_default_name_and_override():

@@ -8,6 +8,7 @@ import pytest
 from treevrpsd import (
     BadParamsError,
     DemandModel,
+    InconsistentRealizationError,
     Realization,
     TooLargeError,
     build_tree,
@@ -19,8 +20,8 @@ from treevrpsd import (
     point_model,
     run_unsplit,
 )
+from treevrpsd import demand
 from treevrpsd.bounds import clairvoyant_edge_lb, tour_floor
-from treevrpsd.demand import ENUM_LIMIT_ENV
 from treevrpsd.oracle import PARTITION_MAX_CUSTOMERS
 
 from helpers import (
@@ -119,6 +120,9 @@ def test_expected_clairvoyant_modes_and_frozen_value():
     assert expected_clairvoyant_lb(tree, model, mode="partition") == pytest.approx(5.5)
     with pytest.raises(BadParamsError):
         expected_clairvoyant_lb(tree, model, mode="exact")
+    with pytest.raises(InconsistentRealizationError) as info:
+        expected_clairvoyant_lb(tree, point_model((1,), 2), mode="edge")
+    assert str(info.value) == "1 demand pmfs for 2 customers"
 
 
 def random_uniform_two(tree):
@@ -155,7 +159,7 @@ def test_expected_clairvoyant_partition_size_guard():
 def test_expected_clairvoyant_respects_enum_limit(monkeypatch):
     tree = build_tree([(0, 1, 1.0)], capacity=2)
     model = random_uniform_two(tree)
-    monkeypatch.setenv(ENUM_LIMIT_ENV, "1")
+    monkeypatch.setattr(demand, "ENUM_LIMIT", 1)
     with pytest.raises(TooLargeError):
         expected_clairvoyant_lb(tree, model, mode="partition")
     # the edge closed form enumerates nothing, so the limit does not apply

@@ -151,6 +151,9 @@ def test_realization_validation():
         run_split(tree, order, Realization((1, 1), 0))  # load below 1
     with pytest.raises(InconsistentRealizationError):
         run_split(tree, order, Realization((1, 1), 3))  # load above Q
+    with pytest.raises(InconsistentRealizationError) as info:
+        run_split(tree, order, Realization((1.5, 1), 1))  # not an integer
+    assert str(info.value) == "demand 1.5 of customer 1 outside 1..2"
 
 
 def test_tour_decomposition_and_loads():
