@@ -21,10 +21,11 @@ from typing import Sequence
 from .bounds import bound_set
 from .demand import Realization, replication_rng, sample_realization
 from .errors import BadParamsError, TooLargeError, ValidationError
-from .evaluator import EXACT, MONTE_CARLO, EvalReport, evaluate, walk_geometry
+from .evaluator import EXACT, MONTE_CARLO, EvalReport, evaluate
 from .instance_io import (
     TOPOLOGIES,
     GeneratorParams,
+    digits_float,
     digits_int,
     generate_document,
     parse_document,
@@ -79,13 +80,17 @@ def _load_instance(path: str | Path):
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    low, high = (
+        _parse_digits(text, "--length-range must be a decimal number: value", digits_float)
+        for text in args.length_range
+    )
     params = GeneratorParams(
-        n=args.n,
-        capacity=args.capacity,
+        n=_int_flag(args.n, "--n"),
+        capacity=_int_flag(args.capacity, "--capacity"),
         topology=args.topology,
         pmf=args.pmf,
-        seed=args.seed,
-        length_range=(args.length_range[0], args.length_range[1]),
+        seed=_int_flag(args.seed, "--seed"),
+        length_range=(low, high),
         name=args.name,
     )
     doc = generate_document(params)
@@ -102,16 +107,21 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_digits(text: str, what: str) -> int:
-    """``text`` as an integer when it is ASCII digits only.
+def _parse_digits(text: str, what: str, read=digits_int):
+    """``read(text)``: by default ``text`` as an integer when it is ASCII
+    digits only.
 
     ``what`` names the value; the text is cut so the message stays short.
     """
     try:
-        return digits_int(text)
+        return read(text)
     except ValueError:
         shown = repr(text[:20]) + (f" ... ({len(text)} characters)" if len(text) > 20 else "")
         raise BadParamsError(f"{what} is {shown}") from None
+
+
+def _int_flag(text: str, flag: str) -> int:
+    return _parse_digits(text, f"{flag} must be an integer: value")
 
 
 def _parse_demand_list(text: str) -> tuple[int, ...]:
@@ -124,13 +134,14 @@ def _parse_demand_list(text: str) -> tuple[int, ...]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _, tree, model = _load_instance(args.instance)
-    load = None if args.load is None else _parse_digits(args.load, "--load must be an integer: value")
+    seed = _int_flag(args.seed, "--seed")
+    load = None if args.load is None else _int_flag(args.load, "--load")
     if args.demands is not None:
         if load is None:
             raise BadParamsError("--load is required when --demands is given")
         realization = Realization(_parse_demand_list(args.demands), load)
     else:
-        rng = replication_rng(args.seed, 0)
+        rng = replication_rng(seed, 0)
         realization = sample_realization(model, rng)
         if load is not None:
             realization = Realization(realization.demands, load)
@@ -167,14 +178,15 @@ def _report_payload(report: EvalReport) -> dict:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    samples, seed = _int_flag(args.samples, "--samples"), _int_flag(args.seed, "--seed")
     doc, tree, model = _load_instance(args.instance)
     report = evaluate(
         tree,
         model,
         policy=args.policy,
         mode=args.mode,
-        samples=args.samples,
-        master_seed=args.seed,
+        samples=samples,
+        master_seed=seed,
         instance_id=doc.name,
     )
     payload = _report_payload(report)
@@ -189,15 +201,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _evaluate_rows(doc, tree, model) -> list[dict]:
-    # Both policy rows read one geometry, one bound set and one edge bound.
-    geometry = walk_geometry(tree)
+    # Both policy rows read one bound set and one edge bound.
     bounds = bound_set(tree, model)
     edge_lb = expected_clairvoyant_lb(tree, model, mode=EDGE)
     rows = []
     for policy in POLICIES:
         report = evaluate(
-            tree, model, policy=policy, mode=EXACT, instance_id=doc.name,
-            geometry=geometry, bounds=bounds,
+            tree, model, policy=policy, mode=EXACT, instance_id=doc.name, bounds=bounds,
         )
         row = _report_payload(report)
         # The per-realization optimum is unsplit-shaped, so its partition
@@ -235,12 +245,27 @@ def _write_histogram(path: Path, rows: Sequence[dict]) -> None:
                 writer.writerow([policy, HIST_EDGES[i], HIST_EDGES[i + 1], count])
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether ``a`` and ``b`` are two names (links) of one existing file,
+    or one path spelled two ways."""
+    try:
+        return a.samefile(b)
+    except OSError:  # not both exist yet; a stat is cheaper than resolving
+        return a.resolve() == b.resolve()
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus_dir)
     if not corpus_dir.is_dir():
         raise BadParamsError(f"--corpus-dir {args.corpus_dir!r} is not a directory")
     out_csv = Path(args.out_csv)
     out_plot = Path(args.out_plot) if args.out_plot else out_csv.with_suffix(".plot.csv")
+    if _same_file(out_plot, out_csv):
+        raise BadParamsError(
+            f"--out-plot {args.out_plot!r} names the same file as --out-csv {args.out_csv!r}"
+        )
+    _int_flag(args.samples, "--samples")  # unused; read only to refuse a bad spelling
+    _int_flag(args.seed, "--seed")
 
     rows: list[dict] = []
     failures: list[tuple[str, str]] = []
@@ -280,16 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random instance document")
-    gen.add_argument("--n", type=int, required=True, help="number of customers")
-    gen.add_argument("--capacity", type=int, required=True, help="vehicle capacity Q")
+    gen.add_argument("--n", required=True, help="number of customers")
+    gen.add_argument("--capacity", required=True, help="vehicle capacity Q")
     gen.add_argument("--topology", choices=TOPOLOGIES, default="path")
     gen.add_argument("--pmf", required=True, help="det:<k> | unif:<lo>-<hi> | two:<k1>,<p1>,<k2>")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", default="0")
     gen.add_argument(
         "--length-range",
-        type=float,
         nargs=2,
-        default=(1.0, 1.0),
+        default=("1.0", "1.0"),
         metavar=("LOW", "HIGH"),
     )
     gen.add_argument("--name", default=None, help="override the derived instance name")
@@ -305,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--policy", choices=POLICIES, required=True)
     simulate.add_argument("--demands", default=None, help="explicit demands, e.g. 2,1,3")
     simulate.add_argument("--load", default=None, help="initial load (1..Q)")
-    simulate.add_argument("--seed", type=int, default=0, help="seed when demands are drawn")
+    simulate.add_argument("--seed", default="0", help="seed when demands are drawn")
     simulate.set_defaults(handler=_cmd_simulate)
 
     ev = sub.add_parser(
@@ -318,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--instance", required=True, help="instance document path")
     ev.add_argument("--policy", choices=POLICIES, required=True)
     ev.add_argument("--mode", choices=(EXACT, "mc", MONTE_CARLO), default=EXACT)
-    ev.add_argument("--samples", type=int, default=10_000)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--samples", default="10000")
+    ev.add_argument("--seed", default="0")
     ev.add_argument("--format", choices=("json", "csv"), default="json")
     ev.set_defaults(handler=_cmd_evaluate)
 
@@ -333,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--corpus-dir", required=True)
     report.add_argument("--out-csv", required=True)
     report.add_argument("--out-plot", default=None, help="histogram CSV (default: <out-csv>.plot.csv)")
-    report.add_argument("--samples", type=int, default=10_000, help="unused; accepted for compatibility")
-    report.add_argument("--seed", type=int, default=0, help="unused; accepted for compatibility")
+    report.add_argument("--samples", default="10000", help="unused; accepted for compatibility")
+    report.add_argument("--seed", default="0", help="unused; accepted for compatibility")
     report.set_defaults(handler=_cmd_report)
 
     return parser

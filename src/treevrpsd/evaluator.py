@@ -8,12 +8,16 @@ independent of the demands, the stock on arrival at every customer is
 therefore uniform on {1..Q} and independent of that customer's demand:
 customer i is an exact breakpoint with probability 1/Q and a deficit
 breakpoint with probability (E[D_i] - 1)/Q.  The expected cost is the
-walk base plus those probabilities times the per-position detours
-``reroute_extra`` and ``deficit_detour`` of
-:class:`~treevrpsd.policy.WalkGeometry`.  Monte Carlo mode draws
-independent replications, each from a private generator seeded by a
-pure function of (master seed, replication index), so estimates are
-reproducible bit for bit and replications could run in any order.
+walk length 2S plus those probabilities times the detours: an exact
+breakpoint reroutes to the next stop via the depot, and in a preorder
+the next stop's parent is the two stops' common ancestor, so the
+reroutes add ``2*d(0, parent v)`` once per customer v, whatever the
+preorder; a deficit adds ``DEFICIT_TRIPS`` round trips to the depot.
+Exact mode therefore reads per-vertex data and no walk.  Monte Carlo
+mode draws independent replications, each from a private generator
+seeded by a pure function of (master seed, replication index), so
+estimates are reproducible bit for bit and replications could run in
+any order.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .demand import DemandModel, replication_rng, sample_realization
 # The benchmark tracer (perfbench/tracing.py) wraps evaluator.enumerate_joint by name.
 from .demand import enumerate_joint  # noqa: F401
 from .errors import BadParamsError
-from .policy import POLICIES, SPLIT, WalkGeometry
+from .policy import DEFICIT_TRIPS, POLICIES, SPLIT, WalkGeometry
 from .tree import TreeInstance, dfs_order
 
 EXACT = "exact"
@@ -68,39 +72,36 @@ def _check_policy(policy: str) -> None:
         raise BadParamsError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
-def walk_geometry(tree: TreeInstance) -> WalkGeometry:
-    """The :class:`~treevrpsd.policy.WalkGeometry` of the depth-first preorder."""
-    return WalkGeometry(tree, dfs_order(tree))
-
-
-def exact_expected_cost(
-    tree: TreeInstance,
-    model: DemandModel,
-    policy: str,
-    *,
-    geometry: WalkGeometry | None = None,
-) -> float:
+def exact_expected_cost(tree: TreeInstance, model: DemandModel, policy: str) -> float:
     """Exact expectation over the demands and the uniform initial load.
 
-    ``base_length + sum_i [reroute_extra_i / Q
-    + (E[D_i] - 1)/Q * deficit_detour[policy]_i]`` over the fields of
-    :class:`~treevrpsd.policy.WalkGeometry`, which alone states how the
-    policies' deficit detours differ.  Linear in the number of
-    customers; nothing is enumerated, so there is no size limit.  A
-    ``geometry`` already built for ``tree`` is used as is, so another
-    preorder is priced by passing ``WalkGeometry(tree, order)``.
+    ``2S + sum_v [2*d(0, parent v) / Q + (E[D_v] - 1)/Q * m_v * 2*d(0, v)]``
+    over the customers v, where ``m_v`` is ``DEFICIT_TRIPS[policy]``'s
+    inner count, or its last-stop count at the last stop of the
+    depth-first preorder: the descent along the last children from the
+    depot.  The sum is the same for every preorder with that last stop.
+    Linear in the number of customers; nothing is enumerated, so there
+    is no size limit.
     """
     _check_policy(policy)
-    if geometry is None:
-        geometry = walk_geometry(tree)
     capacity = tree.capacity
-    deficit_detour = geometry.deficit_detour[policy]
-    terms = [geometry.base_length]
-    for i, di in enumerate(geometry.demand_index):
-        deficit_mass = model.pmfs[di].mean - 1.0
-        terms.append(geometry.reroute_extra[i] / capacity)
-        terms.append(deficit_mass * deficit_detour[i] / capacity)
+    depot_dist = tree.depot_dist
+    inner, at_last = DEFICIT_TRIPS[policy]
+    last = _last_stop(tree)
+    terms = [2.0 * tree.total_edge_length]
+    for v in range(1, tree.vertex_count):
+        trips = at_last if v == last else inner
+        terms.append(2.0 * depot_dist[tree.parent[v]] / capacity)
+        terms.append((model.pmfs[v - 1].mean - 1.0) * (trips * (2.0 * depot_dist[v])) / capacity)
     return math.fsum(terms)
+
+
+def _last_stop(tree: TreeInstance) -> int:
+    """``dfs_order(tree)[-1]`` without the walk (0 for a depot-only tree)."""
+    v = 0
+    while tree.children[v]:
+        v = tree.children[v][-1]
+    return v
 
 
 def monte_carlo_cost(
@@ -109,21 +110,17 @@ def monte_carlo_cost(
     policy: str,
     samples: int,
     master_seed: int,
-    *,
-    geometry: WalkGeometry | None = None,
 ) -> Estimate:
     """Sample-mean estimate of the expected walk cost.
 
     Replication r draws its realization from ``replication_rng(
     master_seed, r)``; the estimate is a pure function of the arguments.
-    A ``geometry`` already built for ``tree`` is used as is.
     """
     _check_policy(policy)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         raise BadParamsError(f"samples must be an integer >= 2, got {samples!r}")
-    if geometry is None:
-        geometry = walk_geometry(tree)
-    cost = geometry.split_cost if policy == SPLIT else geometry.unsplit_cost
+    walk = WalkGeometry(tree, dfs_order(tree))
+    cost = walk.split_cost if policy == SPLIT else walk.unsplit_cost
     costs = []
     for r in range(samples):
         real = sample_realization(model, replication_rng(master_seed, r))
@@ -150,29 +147,26 @@ def evaluate(
     samples: int = 10_000,
     master_seed: int = 0,
     instance_id: str = "",
-    geometry: WalkGeometry | None = None,
     bounds: BoundSet | None = None,
 ) -> EvalReport:
     """Assemble an :class:`EvalReport` for one (instance, policy) pair.
 
     ``mode`` is ``"exact"`` or ``"monte_carlo"`` (``"mc"`` accepted).
     The ratio convention for a depot-only instance (combined_lb = 0) is
-    1.0.  ``geometry`` and ``bounds`` are built unless given, so callers
-    evaluating both policies of an instance build them once.
+    1.0.  ``bounds`` is built unless given, so callers evaluating both
+    policies of an instance build it once.
     """
     _check_policy(policy)
     if mode not in (EXACT, MONTE_CARLO, "mc"):
         raise BadParamsError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
-    if geometry is None:
-        geometry = walk_geometry(tree)
     if bounds is None:
         bounds = bound_set(tree, model)
     estimate = None
     if mode == EXACT:
-        expected = exact_expected_cost(tree, model, policy, geometry=geometry)
+        expected = exact_expected_cost(tree, model, policy)
     else:
         mode = MONTE_CARLO
-        estimate = monte_carlo_cost(tree, model, policy, samples, master_seed, geometry=geometry)
+        estimate = monte_carlo_cost(tree, model, policy, samples, master_seed)
         expected = estimate.mean
     formula_ub = bounds.split_ub if policy == SPLIT else bounds.unsplit_ub
     ratio = expected / bounds.combined_lb if bounds.combined_lb > 0 else 1.0

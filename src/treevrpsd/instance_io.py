@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -56,6 +57,18 @@ def digits_int(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not ASCII digits: {text!r}")
     return int(text)  # ValueError past the int(str) digit limit
+
+
+def digits_float(text: str) -> float:
+    """``float(text)`` for ASCII digits with at most one ``.`` between
+    digits; anything else raises ValueError.
+
+    ``float()`` alone also reads signs, spaces, underscores, exponents,
+    ``inf`` and ``nan``.
+    """
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", text):
+        raise ValueError(f"not a plain decimal: {text!r}")
+    return float(text)
 
 
 def _require_int(value, where: str) -> int:
@@ -310,7 +323,7 @@ def parse_pmf_spec(spec: str, capacity: int) -> DemandPMF:
             entries = [(k, weight) for k in range(lo, hi + 1)]
         elif family == "two":
             k1_s, p1_s, k2_s = arg.split(",")
-            k1, p1, k2 = digits_int(k1_s), float(p1_s), digits_int(k2_s)
+            k1, p1, k2 = digits_int(k1_s), digits_float(p1_s), digits_int(k2_s)
             if not (0.0 <= p1 <= 1.0):
                 raise BadParamsError(f"probability {p1} outside [0,1]")
             entries = [(k1, p1), (k2, 1.0 - p1)]

@@ -50,6 +50,10 @@ from .tree import path_distance  # noqa: F401
 SPLIT = "split"
 UNSPLIT = "unsplit"
 POLICIES = (SPLIT, UNSPLIT)
+# The policies' only difference: depot round trips per deficit breakpoint,
+# at an inner stop and at the last stop (split fetches the remainder;
+# unsplit fetches the demand, then restocks unless the walk ends).
+DEFICIT_TRIPS = {SPLIT: (1, 1), UNSPLIT: (2, 1)}
 
 
 @dataclass(frozen=True)
@@ -213,16 +217,15 @@ def format_trace(trace: RunTrace) -> str:
 
 
 class WalkGeometry:
-    """Per-(tree, order) walk geometry shared by traces and O(n) costs.
+    """Per-(tree, order) walk geometry: the cost of one realization in O(n).
 
     ``legs`` are the distances between consecutive stops of the closed
     walk depot, order..., depot.  A run costs their sum plus, per
     breakpoint, a detour fixed by the customer's position: an exact
     breakpoint reroutes via the depot (``reroute_extra``, zero at the
-    final stop); a deficit adds ``deficit_detour[policy]``, the policies'
-    only difference: one depot round trip ``2*d(0, v)`` for split, two
-    for unsplit (fetch, then restock) except one at the final stop.
-    Costs agree with the trace totals up to float accumulation.
+    final stop); a deficit adds ``deficit_detour[policy]``,
+    :data:`DEFICIT_TRIPS` depot round trips ``2*d(0, v)``.  Costs agree
+    with the trace totals up to float accumulation.
     """
 
     __slots__ = ("capacity", "legs", "base_length", "demand_index", "reroute_extra", "deficit_detour")
@@ -242,10 +245,10 @@ class WalkGeometry:
             tree.depot_dist[seq[k]] + tree.depot_dist[stops[k + 2]] - legs[k + 1]
             for k in range(len(seq))
         )
-        round_trip = tuple(2.0 * tree.depot_dist[v] for v in seq)
+        round_trip = [2.0 * tree.depot_dist[v] for v in seq]
         self.deficit_detour = {
-            SPLIT: round_trip,
-            UNSPLIT: tuple(2.0 * t for t in round_trip[:-1]) + round_trip[-1:],
+            policy: tuple([inner * t for t in round_trip[:-1]] + [last * t for t in round_trip[-1:]])
+            for policy, (inner, last) in DEFICIT_TRIPS.items()
         }
 
     def split_cost(self, demands: Sequence[int], initial_load: int) -> float:

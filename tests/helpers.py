@@ -526,6 +526,29 @@ def closed_walk_length(tree: TreeInstance, order: Sequence[int]) -> float:
     return math.fsum(path_distance_legs(tree, order))
 
 
+def walk_expected_cost(tree: TreeInstance, model: DemandModel, policy: str, order: Sequence[int]) -> float:
+    """Exact expectation priced along the walk of the preorder ``order``.
+
+    The closed walk, plus per stop v with next stop w: with probability
+    1/Q an exact breakpoint's reroute via the depot, ``d(0,v) + d(0,w)``
+    minus the leg from v to w (zero after the last stop), and with
+    probability (E[D_v] - 1)/Q a deficit's depot round trips, two for
+    unsplit and one for split, one at the last stop.  The per-vertex sum
+    of ``exact_expected_cost`` replaced this route.
+    """
+    legs = path_distance_legs(tree, order)
+    dd = tree.depot_dist
+    q = tree.capacity
+    terms = list(legs)
+    for k, v in enumerate(order):
+        w = order[k + 1] if k + 1 < len(order) else 0
+        trips = 2 if policy == "unsplit" and w else 1
+        mean = math.fsum(value * prob for value, prob in model.pmfs[v - 1].mass)
+        terms.append((dd[v] + dd[w] - legs[k + 1]) / q)
+        terms.append((mean - 1.0) * trips * 2.0 * dd[v] / q)
+    return math.fsum(terms)
+
+
 def shuffled_preorder(tree: TreeInstance, rng: random.Random) -> tuple[int, ...]:
     """A DFS preorder with random child ordering (not necessarily sorted)."""
     out, stack = [], [0]

@@ -209,6 +209,63 @@ def test_simulate_errors_stay_short(capsys, corpus_dir, argv, message):
     assert stderr == f"error: {message}\n"
 
 
+GEN_FLAGS = {"--n": "4", "--capacity": "4", "--pmf": "det:1"}
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("gen", {"--n": " 1_0"}, "--n must be an integer: value is ' 1_0'"),
+    ("gen", {"--capacity": "+3"}, "--capacity must be an integer: value is '+3'"),
+    ("gen", {"--seed": "0_7"}, "--seed must be an integer: value is '0_7'"),
+    ("gen", {"--n": "1_" * 30}, "--n must be an integer: value is '1_1_1_1_1_1_1_1_1_1_' ... (60 characters)"),
+    ("gen", {"--pmf": "two:1,0.2_5,3"}, "malformed pmf spec 'two:1,0.2_5,3'"),
+    ("gen", {"--pmf": "two:1,1e-1,3"}, "malformed pmf spec 'two:1,1e-1,3'"),
+    ("gen", {"--pmf": "two:1,.5,3"}, "malformed pmf spec 'two:1,.5,3'"),
+    ("gen", {"--length-range": ("1_0", " 2_0")}, "--length-range must be a decimal number: value is '1_0'"),
+    ("gen", {"--length-range": ("1", "1e-1")}, "--length-range must be a decimal number: value is '1e-1'"),
+    ("gen", {"--length-range": ("1.", "2")}, "--length-range must be a decimal number: value is '1.'"),
+    ("evaluate", {"--samples": " 1_00"}, "--samples must be an integer: value is ' 1_00'"),
+    ("evaluate", {"--seed": "+1"}, "--seed must be an integer: value is '+1'"),
+    ("simulate", {"--seed": " 3"}, "--seed must be an integer: value is ' 3'"),
+    ("report", {"--samples": "1_0"}, "--samples must be an integer: value is '1_0'"),
+    ("report", {"--seed": "-1"}, "--seed must be an integer: value is '-1'"),
+], ids=[
+    "gen-n", "gen-capacity", "gen-seed", "gen-n-long", "two-underscore", "two-exponent",
+    "two-bare-point", "length-underscore", "length-exponent", "length-trailing-point",
+    "evaluate-samples", "evaluate-seed", "simulate-seed", "report-samples", "report-seed",
+])
+def test_flags_take_ascii_digits_only(tmp_path, capsys, corpus_dir, command, flags, message):
+    out = tmp_path / "out.csv"
+    base = {
+        "gen": {**GEN_FLAGS, "--out": str(out)},
+        "evaluate": {"--instance": str(corpus_dir / "E1.json"), "--policy": "split", "--mode": "mc"},
+        "simulate": {"--instance": str(corpus_dir / "E1.json"), "--policy": "split"},
+        "report": {"--corpus-dir": str(corpus_dir), "--out-csv": str(out)},
+    }[command]
+    argv = [command]
+    for flag, value in {**base, **flags}.items():
+        argv += [flag, *value] if isinstance(value, tuple) else [flag, value]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_flags_keep_plain_digits_and_decimals(tmp_path, capsys, corpus_dir):
+    out = tmp_path / "inst.json"
+    code, _, _ = run_cli(
+        capsys, "gen", "--n", "10", "--capacity", "10", "--pmf", "two:1,0.25,10", "--seed", "9",
+        "--length-range", "1", "2.0", "--out", str(out),
+    )
+    assert code == 0
+    doc = parse_document(out.read_text(encoding="utf-8"))
+    assert doc.name == "path-n10-q10-s9"
+    assert doc.demands[0][1] == ((1, 0.25), (10, 0.75))
+    assert all(1.0 <= length <= 2.0 for _, _, length in doc.edges)
+    code, _, _ = run_cli(
+        capsys, "evaluate", "--instance", str(out), "--policy", "unsplit",
+        "--mode", "mc", "--samples", "0100", "--seed", "00",
+    )
+    assert code == 0
+
+
 def test_evaluate_exact_json(capsys, corpus_dir):
     code, stdout, _ = run_cli(
         capsys, "evaluate", "--instance", str(corpus_dir / "E1.json"),
@@ -297,7 +354,7 @@ def test_enum_limit_of_one_only_empties_the_partition_cell(tmp_path, capsys, cor
 
 # SHA-256 of report's CSV and plot file on corpus/, pinned so that later
 # changes keep the report byte for byte (CPython 3.11, Linux x86-64).
-CORPUS_REPORT_SHA256 = "b829a1f6554dd69dc6cbb54277ff89b66a454716b493c1f0a926c1f31d0c7bae"
+CORPUS_REPORT_SHA256 = "a85e57dec7459c16bf5a4d72f0c3fc3a9765718329fb9e519e5a1898266bfea6"
 CORPUS_PLOT_SHA256 = "e36dc11d2dc7a7271fc3df27f4027e92e68b8eddd3a5e9057cbc9da7af0c3fec"
 
 
@@ -308,6 +365,38 @@ def test_report_bytes_on_corpus_are_pinned(tmp_path, capsys, corpus_dir):
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == CORPUS_REPORT_SHA256
     plot = tmp_path / "report.plot.csv"
     assert hashlib.sha256(plot.read_bytes()).hexdigest() == CORPUS_PLOT_SHA256
+
+
+# SHA-256 over the Monte Carlo, trace, bounds and gen bytes, pinned like the
+# report's (CPython 3.11, Linux x86-64).
+SAMPLED_OUTPUTS_SHA256 = "35b2341349e51f461cefc465938f3f19bd59f947adf29bf8e440163c3ff66e43"
+
+
+def test_sampled_trace_bounds_and_gen_bytes_are_pinned(tmp_path, capsys, corpus_dir):
+    digest = hashlib.sha256()
+
+    def add(*argv: str) -> None:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        digest.update(out.encode("utf-8"))
+
+    for path in sorted(corpus_dir.glob("*.json")):
+        for policy in ("split", "unsplit"):
+            add("evaluate", "--instance", str(path), "--policy", policy,
+                "--mode", "mc", "--samples", "200", "--seed", "7")
+            add("simulate", "--instance", str(path), "--policy", policy, "--seed", "3")
+        add("bounds", "--instance", str(path))
+    generated = tmp_path / "caterpillar.json"
+    code, _, _ = run_cli(
+        capsys, "gen", "--n", "300", "--capacity", "10", "--topology", "caterpillar",
+        "--pmf", "two:3,0.5,10", "--seed", "5", "--length-range", "0.5", "2.0",
+        "--out", str(generated),
+    )
+    assert code == 0
+    digest.update(generated.read_bytes())
+    for policy in ("split", "unsplit"):
+        add("simulate", "--instance", str(generated), "--policy", policy, "--seed", "3")
+    assert digest.hexdigest() == SAMPLED_OUTPUTS_SHA256
 
 
 def test_report_over_worked_examples(tmp_path, capsys, corpus_dir):
@@ -541,8 +630,8 @@ def test_cached_parser_carries_nothing_between_calls(capsys, corpus_dir, first, 
 
 
 def _count_report_work(monkeypatch) -> tuple[Counter, list[str]]:
-    """Count geometries, bound sets and edge bounds built; list the
-    clairvoyant modes the report asks for."""
+    """Count walk geometries, evaluator preorders, bound sets and edge
+    bounds built; list the clairvoyant modes the report asks for."""
     calls: Counter = Counter()
     modes: list[str] = []
 
@@ -557,6 +646,7 @@ def _count_report_work(monkeypatch) -> tuple[Counter, list[str]]:
         return expected_clairvoyant_lb(tree, model, mode=mode)
 
     monkeypatch.setattr(WalkGeometry, "__init__", counted("geometry", WalkGeometry.__init__))
+    monkeypatch.setattr(evaluator, "dfs_order", counted("dfs_order", evaluator.dfs_order))
     monkeypatch.setattr(cli, "bound_set", counted("bound_set", cli.bound_set))
     monkeypatch.setattr(evaluator, "bound_set", counted("bound_set", evaluator.bound_set))
     monkeypatch.setattr(oracle, "_expected_edge_lb", counted("edge", oracle._expected_edge_lb))
@@ -565,7 +655,7 @@ def _count_report_work(monkeypatch) -> tuple[Counter, list[str]]:
 
 
 @pytest.mark.parametrize("n", [12, 6])
-def test_report_builds_geometry_bounds_and_edge_bound_once(tmp_path, capsys, monkeypatch, n):
+def test_report_builds_bounds_and_edge_bound_once_and_no_walk(tmp_path, capsys, monkeypatch, n):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     path = corpus / "inst.json"
@@ -577,7 +667,9 @@ def test_report_builds_geometry_bounds_and_edge_bound_once(tmp_path, capsys, mon
     out_csv = tmp_path / "report.csv"
     code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))
     assert code == 0
-    assert calls == {"geometry": 1, "bound_set": 1, "edge": 1}
+    # the exact costs read per-vertex data: no WalkGeometry, no preorder
+    assert (calls["geometry"], calls["dfs_order"]) == (0, 0)
+    assert calls == {"bound_set": 1, "edge": 1}
     rows = {row["policy"]: row for row in csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())}
     tree, model = parse_instance(path.read_text(encoding="utf-8"))
     edge = expected_clairvoyant_lb(tree, model, mode="edge")
@@ -590,6 +682,22 @@ def test_report_builds_geometry_bounds_and_edge_bound_once(tmp_path, capsys, mon
     else:
         assert modes == ["edge"]
         assert float(rows["unsplit"]["clairvoyant_lb"]) == edge
+
+
+@pytest.mark.parametrize("spelling", ["same.csv", "./same.csv", "link.csv"])
+def test_report_refuses_a_plot_file_that_is_its_csv(tmp_path, capsys, corpus_dir, monkeypatch, spelling):
+    monkeypatch.chdir(tmp_path)
+    before = {}
+    if spelling == "link.csv":  # an existing CSV and a hard link to it
+        (tmp_path / "same.csv").write_text("old\n", encoding="utf-8")
+        os.link(tmp_path / "same.csv", tmp_path / "link.csv")
+        before = {"same.csv": "old\n", "link.csv": "old\n"}
+    code, stdout, stderr = run_cli(
+        capsys, "report", "--corpus-dir", str(corpus_dir), "--out-csv", "same.csv", "--out-plot", spelling,
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: --out-plot {spelling!r} names the same file as --out-csv 'same.csv'\n"
+    assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == before
 
 
 def test_report_missing_directory_exits_2(tmp_path, capsys):

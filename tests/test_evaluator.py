@@ -8,6 +8,7 @@ import pytest
 from treevrpsd import (
     BadParamsError,
     DemandModel,
+    GeneratorParams,
     Realization,
     bound_set,
     build_tree,
@@ -15,15 +16,26 @@ from treevrpsd import (
     enumerate_joint,
     evaluate,
     exact_expected_cost,
+    generate,
     make_pmf,
     monte_carlo_cost,
     point_model,
     run_split,
+    parse_instance,
     run_unsplit,
 )
-from treevrpsd.evaluator import UB_REL_TOL
+from treevrpsd.evaluator import UB_REL_TOL, _last_stop
+from treevrpsd.instance_io import TOPOLOGIES
+from treevrpsd.policy import POLICIES
 
-from helpers import pmf_dicts, random_edges, random_model, independent_expected_cost
+from helpers import (
+    independent_expected_cost,
+    pmf_dicts,
+    random_edges,
+    random_model,
+    shuffled_preorder,
+    walk_expected_cost,
+)
 
 
 def brute_expected_by_traces(tree, model, policy) -> float:
@@ -79,6 +91,38 @@ def test_exact_matches_library_free_enumeration():
         for policy in ("split", "unsplit"):
             want = independent_expected_cost(edges, capacity, pmf_dicts(model), order, policy)
             assert exact_expected_cost(tree, model, policy) == pytest.approx(want, rel=1e-9)
+
+
+def test_walk_sum_depends_on_the_preorder_only_through_its_last_stop(corpus_dir):
+    # The stop after v has the stop's parent as their common ancestor, so
+    # the reroutes sum to 2*d(0, parent w) over the customers w in every
+    # preorder; only unsplit's single last-stop round trip reads the order.
+    rng = random.Random(12)
+    instances = [
+        parse_instance(path.read_text(encoding="utf-8")) for path in sorted(corpus_dir.glob("*.json"))
+    ]
+    for k in range(100):
+        capacity = rng.randint(1, 6)
+        params = GeneratorParams(
+            n=rng.randint(1, 30), capacity=capacity, topology=TOPOLOGIES[k % len(TOPOLOGIES)],
+            pmf="det:1", seed=k, length_range=(0.1, 3.0),
+        )
+        tree, _ = generate(params)
+        instances.append((tree, random_model(rng, tree)))
+    assert {tree.n_customers for tree, _ in instances} >= {1, 30}
+    for tree, model in instances:
+        order = dfs_order(tree)
+        assert _last_stop(tree) == order[-1]
+        orders = [order] + [shuffled_preorder(tree, rng) for _ in range(10)]
+        for policy in POLICIES:
+            exact = exact_expected_cost(tree, model, policy)
+            by_last: dict[int, float] = {}
+            for preorder in orders:
+                cost = walk_expected_cost(tree, model, policy, preorder)
+                key = preorder[-1] if policy == "unsplit" else 0
+                assert math.isclose(cost, by_last.setdefault(key, cost), rel_tol=1e-12)
+                if preorder[-1] == order[-1]:
+                    assert math.isclose(cost, exact, rel_tol=1e-12)
 
 
 def test_exact_scales_linearly_on_deep_path():

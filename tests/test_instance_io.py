@@ -467,8 +467,11 @@ def test_parse_pmf_spec_rejects_garbage():
         with pytest.raises(BadParamsError):
             parse_pmf_spec(bad, 3)
     # ASCII digits only: int() alone reads 1_0 as 10, +1 as 1, and
-    # fullwidth digits as digits
-    for bad in ["det:1_0", "unif:+1-1_0", "det: 2", "det:+3", "det:\uff12", "two:+1,0.5,2", "two:1,0.5,1_0"]:
+    # fullwidth digits as digits; float() also reads 0.2_5, 1e-1 and .5
+    for bad in [
+        "det:1_0", "unif:+1-1_0", "det: 2", "det:+3", "det:\uff12", "two:+1,0.5,2", "two:1,0.5,1_0",
+        "two:1,0.2_5,2", "two:1,1e-1,2", "two:1,.5,2", "two:1,1.,2", "two:1, 0.5,2", "two:1,nan,2",
+    ]:
         with pytest.raises(BadParamsError) as info:
             parse_pmf_spec(bad, 12)
         assert str(info.value) == f"malformed pmf spec {bad!r}"
