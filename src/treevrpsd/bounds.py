@@ -103,7 +103,7 @@ def clairvoyant_edge_lb(tree: TreeInstance, demands: Sequence[int]) -> float:
         if not isinstance(q, int) or isinstance(q, bool) or q < 0:
             raise InconsistentRealizationError(f"demand {q!r} of customer {v} is not a nonnegative integer")
         below[v] = q
-    for v in sorted(range(1, tree.vertex_count), key=lambda u: -tree.depth[u]):
+    for v in reversed(tree.preorder):  # every vertex after all of its descendants
         below[tree.parent[v]] += below[v]
     capacity = tree.capacity
     return math.fsum(

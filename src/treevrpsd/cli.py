@@ -58,6 +58,10 @@ HIST_LOW = 1.0
 HIST_STEP = 0.1
 HIST_EDGES = tuple(format(HIST_LOW + i * HIST_STEP, ".2f") for i in range(HIST_BINS + 1))
 
+# Outputs echo the seed, so its length is capped; 20 digits hold every
+# 64-bit seed.
+SEED_DIGITS = 20
+
 
 def _cell(value) -> str:
     """Render one CSV cell; floats use repr so bytes round-trip."""
@@ -89,7 +93,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         capacity=_int_flag(args.capacity, "--capacity"),
         topology=args.topology,
         pmf=args.pmf,
-        seed=_int_flag(args.seed, "--seed"),
+        seed=_seed_flag(args.seed),
         length_range=(low, high),
         name=args.name,
     )
@@ -116,12 +120,23 @@ def _parse_digits(text: str, what: str, read=digits_int):
     try:
         return read(text)
     except ValueError:
-        shown = repr(text[:20]) + (f" ... ({len(text)} characters)" if len(text) > 20 else "")
-        raise BadParamsError(f"{what} is {shown}") from None
+        raise BadParamsError(f"{what} is {_shown(text)}") from None
+
+
+def _shown(text: str) -> str:
+    return repr(text[:20]) + (f" ... ({len(text)} characters)" if len(text) > 20 else "")
 
 
 def _int_flag(text: str, flag: str) -> int:
     return _parse_digits(text, f"{flag} must be an integer: value")
+
+
+def _seed_flag(text: str) -> int:
+    if len(text) > SEED_DIGITS and text.isascii() and text.isdigit():
+        raise BadParamsError(
+            f"--seed must be an integer of at most {SEED_DIGITS} digits: value is {_shown(text)}"
+        )
+    return _int_flag(text, "--seed")
 
 
 def _parse_demand_list(text: str) -> tuple[int, ...]:
@@ -134,7 +149,7 @@ def _parse_demand_list(text: str) -> tuple[int, ...]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _, tree, model = _load_instance(args.instance)
-    seed = _int_flag(args.seed, "--seed")
+    seed = _seed_flag(args.seed)
     load = None if args.load is None else _int_flag(args.load, "--load")
     if args.demands is not None:
         if load is None:
@@ -178,7 +193,7 @@ def _report_payload(report: EvalReport) -> dict:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    samples, seed = _int_flag(args.samples, "--samples"), _int_flag(args.seed, "--seed")
+    samples, seed = _int_flag(args.samples, "--samples"), _seed_flag(args.seed)
     doc, tree, model = _load_instance(args.instance)
     report = evaluate(
         tree,
@@ -260,12 +275,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise BadParamsError(f"--corpus-dir {args.corpus_dir!r} is not a directory")
     out_csv = Path(args.out_csv)
     out_plot = Path(args.out_plot) if args.out_plot else out_csv.with_suffix(".plot.csv")
+    # Refuse a bad output path before writing anything, so one output is
+    # never replaced while the other cannot be written.
+    for flag, path in (("--out-csv", out_csv), ("--out-plot", out_plot)):
+        if not path.parent.is_dir():
+            raise BadParamsError(f"{flag} {str(path)!r}: {str(path.parent)!r} is not a directory")
     if _same_file(out_plot, out_csv):
         raise BadParamsError(
             f"--out-plot {args.out_plot!r} names the same file as --out-csv {args.out_csv!r}"
         )
     _int_flag(args.samples, "--samples")  # unused; read only to refuse a bad spelling
-    _int_flag(args.seed, "--seed")
+    _seed_flag(args.seed)
 
     rows: list[dict] = []
     failures: list[tuple[str, str]] = []

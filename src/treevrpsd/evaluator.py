@@ -77,9 +77,9 @@ def exact_expected_cost(tree: TreeInstance, model: DemandModel, policy: str) -> 
 
     ``2S + sum_v [2*d(0, parent v) / Q + (E[D_v] - 1)/Q * m_v * 2*d(0, v)]``
     over the customers v, where ``m_v`` is ``DEFICIT_TRIPS[policy]``'s
-    inner count, or its last-stop count at the last stop of the
-    depth-first preorder: the descent along the last children from the
-    depot.  The sum is the same for every preorder with that last stop.
+    inner count, or its last-stop count at the last stop of the tree's
+    stored ``preorder``.  The sum is the same for every preorder with
+    that last stop.
     Linear in the number of customers; nothing is enumerated, so there
     is no size limit.
     """
@@ -87,21 +87,13 @@ def exact_expected_cost(tree: TreeInstance, model: DemandModel, policy: str) -> 
     capacity = tree.capacity
     depot_dist = tree.depot_dist
     inner, at_last = DEFICIT_TRIPS[policy]
-    last = _last_stop(tree)
+    last = tree.preorder[-1] if tree.preorder else 0
     terms = [2.0 * tree.total_edge_length]
     for v in range(1, tree.vertex_count):
         trips = at_last if v == last else inner
         terms.append(2.0 * depot_dist[tree.parent[v]] / capacity)
         terms.append((model.pmfs[v - 1].mean - 1.0) * (trips * (2.0 * depot_dist[v])) / capacity)
     return math.fsum(terms)
-
-
-def _last_stop(tree: TreeInstance) -> int:
-    """``dfs_order(tree)[-1]`` without the walk (0 for a depot-only tree)."""
-    v = 0
-    while tree.children[v]:
-        v = tree.children[v][-1]
-    return v
 
 
 def monte_carlo_cost(

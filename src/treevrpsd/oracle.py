@@ -32,7 +32,7 @@ from typing import Sequence
 from .bounds import clairvoyant_edge_lb  # noqa: F401
 from .demand import DemandModel, DemandPMF, enumerate_joint
 from .errors import BadParamsError, InconsistentRealizationError, TooLargeError
-from .tree import TreeInstance, dfs_order
+from .tree import TreeInstance
 
 PARTITION_MAX_CUSTOMERS = 10
 
@@ -188,7 +188,7 @@ def _expected_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
         raise InconsistentRealizationError(f"{model.n_customers} demand pmfs for {n} customers")
     capacity = tree.capacity
     parent = tree.parent
-    upward = dfs_order(tree)[::-1]  # every vertex after all of its descendants
+    upward = tree.preorder[::-1]  # every vertex after all of its descendants
     most = [0] * tree.vertex_count  # largest possible demand below each edge
     for v, pmf in enumerate(model.pmfs, 1):
         most[v] = pmf.max_value()

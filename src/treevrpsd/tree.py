@@ -3,16 +3,17 @@
 A tree over vertices ``0..n`` is stored as parallel tuples indexed by
 vertex: ``parent[v]`` and ``edge_length[v]`` describe the unique edge
 from ``v`` up to its parent (the depot has no parent edge).  Depot
-distances, depths, a sorted children adjacency, and the total edge
-length ``S`` are precomputed at build time, in linear time: one pass
-over the edges checks them and fills the parent pointers, the children
-lists fill in ascending vertex order, and depths and depot distances
-follow top-down from the depot.  Instances are immutable afterwards and
-safe to share between threads.
+distances, depths, the visiting order and the total edge length ``S``
+are precomputed at build time, in linear time: one pass over the edges
+checks them and fills the parent pointers, and one depth-first walk
+from the depot lists the customers in preorder and fills depths and
+depot distances, each parent before its children.  Instances are
+immutable afterwards and safe to share between threads.
 
-The a priori visiting order used throughout the library is the
-depth-first preorder with children explored in ascending vertex index.
-A depth-first walk crosses every edge exactly twice, so its closed walk
+The a priori visiting order used throughout the library is that
+preorder, ``TreeInstance.preorder``, with children explored in
+ascending vertex index; it is computed here and nowhere else.  A
+depth-first walk crosses every edge exactly twice, so its closed walk
 has length ``2 * S``, the refill-free floor for visiting all customers.
 """
 
@@ -52,8 +53,9 @@ class TreeInstance:
         ``edge_length[0] == 0.0``.
     capacity:
         Vehicle capacity Q >= 1.
-    children:
-        Children of each vertex in ascending index order.
+    preorder:
+        The a priori visiting order: the customers in depth-first
+        preorder, children in ascending index order.
     depot_dist:
         ``depot_dist[v]`` is the path distance from the depot to ``v``.
     depth:
@@ -66,7 +68,7 @@ class TreeInstance:
     parent: tuple[int, ...]
     edge_length: tuple[float, ...]
     capacity: int
-    children: tuple[tuple[int, ...], ...]
+    preorder: VisitOrder
     depot_dist: tuple[float, ...]
     depth: tuple[int, ...]
     total_edge_length: float
@@ -108,29 +110,33 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
         length[c] = ln
 
     # Each of 1..n appeared exactly once as a child.  The children lists fill
-    # in ascending order; a walk over them from the depot lists the vertices
-    # top-down, and depths and depot distances follow in that order.
+    # in descending order, so a stack walk from the depot pops them in
+    # ascending order and lists the customers in depth-first preorder.  Each
+    # parent comes before its children, so depths and depot distances fill
+    # in the same pass.
     kids: list[list[int]] = [[] for _ in range(n + 1)]
-    for v in range(1, n + 1):
+    for v in range(n, 0, -1):
         kids[parent[v]].append(v)
-    top_down = [0]
-    for u in top_down:  # grows as the walk goes
-        top_down += kids[u]
-    if len(top_down) <= n:  # the unreached vertices hang off a cycle
-        raise CycleOrForestError("parent pointers contain a cycle")
     depth = [0] * (n + 1)
     dist = [0.0] * (n + 1)
-    for v in top_down[1:]:
+    order: list[int] = []
+    stack = kids[0]
+    while stack:
+        v = stack.pop()
         p = parent[v]
         depth[v] = depth[p] + 1
         dist[v] = dist[p] + length[v]
+        order.append(v)
+        stack += kids[v]
+    if len(order) < n:  # the unreached vertices hang off a cycle
+        raise CycleOrForestError("parent pointers contain a cycle")
 
     return TreeInstance(
         vertex_count=n + 1,
         parent=tuple(parent),
         edge_length=tuple(length),
         capacity=capacity,
-        children=tuple(map(tuple, kids)),
+        preorder=tuple(order),
         depot_dist=tuple(dist),
         depth=tuple(depth),
         total_edge_length=math.fsum(length),
@@ -183,15 +189,8 @@ def path_distance(tree: TreeInstance, i: int, j: int) -> float:
 
 
 def dfs_order(tree: TreeInstance) -> VisitOrder:
-    """Depth-first preorder of the customers, ascending-child tie-break."""
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        if v != 0:
-            order.append(v)
-        stack.extend(reversed(tree.children[v]))
-    return tuple(order)
+    """The a priori visiting order, ``tree.preorder``."""
+    return tree.preorder
 
 
 def check_preorder(tree: TreeInstance, order: Sequence[int]) -> None:
@@ -199,9 +198,13 @@ def check_preorder(tree: TreeInstance, order: Sequence[int]) -> None:
 
     A sequence is a preorder for some child ordering iff, scanning left
     to right with a stack of the currently open root path, each vertex's
-    parent is still on the stack once deeper branches are popped.
+    parent is still on the stack once deeper branches are popped.  The
+    tree's own ``preorder`` passes at once; any other order is checked
+    in full.
     """
     seq = tuple(order)
+    if seq == tree.preorder:
+        return
     n = tree.n_customers
     if sorted(seq) != list(range(1, n + 1)):
         raise InvalidOrderError(

@@ -445,9 +445,32 @@ def itemwise_parse_document(text: str) -> InstanceDocument:
     )
 
 
+def children_lists(parent: Sequence[int]) -> list[list[int]]:
+    """Each vertex's children in ascending index order, from parent pointers."""
+    kids: list[list[int]] = [[] for _ in parent]
+    for v in range(1, len(parent)):
+        kids[parent[v]].append(v)
+    return kids
+
+
+def stack_walk_preorder(parent: Sequence[int]) -> tuple[int, ...]:
+    """Depth-first preorder of the customers, ascending-child tie-break,
+    by a stack walk over the children lists: the oracle for
+    ``TreeInstance.preorder``."""
+    kids = children_lists(parent)
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        if v != 0:
+            order.append(v)
+        stack.extend(reversed(kids[v]))
+    return tuple(order)
+
+
 def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeInstance:
     """Build a tree with full checks on every edge, depths by parent-chain
-    walks, and each children list sorted."""
+    walks, and the preorder by :func:`stack_walk_preorder`."""
     if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
         raise BadCapacityError(f"capacity must be an integer >= 1, got {capacity!r}")
 
@@ -491,16 +514,12 @@ def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) 
             depth[w] = depth[parent[w]] + 1
             dist[w] = dist[parent[w]] + length[w]
 
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
-    for v in range(1, n + 1):
-        kids[parent[v]].append(v)
-
     return TreeInstance(
         vertex_count=n + 1,
         parent=tuple(parent),
         edge_length=tuple(length),
         capacity=capacity,
-        children=tuple(tuple(sorted(k)) for k in kids),
+        preorder=stack_walk_preorder(parent),
         depot_dist=tuple(dist),
         depth=tuple(depth),
         total_edge_length=math.fsum(length),
@@ -551,12 +570,13 @@ def walk_expected_cost(tree: TreeInstance, model: DemandModel, policy: str, orde
 
 def shuffled_preorder(tree: TreeInstance, rng: random.Random) -> tuple[int, ...]:
     """A DFS preorder with random child ordering (not necessarily sorted)."""
+    children = children_lists(tree.parent)
     out, stack = [], [0]
     while stack:
         v = stack.pop()
         if v != 0:
             out.append(v)
-        kids = list(tree.children[v])
+        kids = children[v]
         rng.shuffle(kids)
         stack.extend(kids)
     return tuple(out)

@@ -210,6 +210,7 @@ def test_simulate_errors_stay_short(capsys, corpus_dir, argv, message):
 
 
 GEN_FLAGS = {"--n": "4", "--capacity": "4", "--pmf": "det:1"}
+LONG_SEED = "--seed must be an integer of at most 20 digits: value"
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -228,10 +229,17 @@ GEN_FLAGS = {"--n": "4", "--capacity": "4", "--pmf": "det:1"}
     ("simulate", {"--seed": " 3"}, "--seed must be an integer: value is ' 3'"),
     ("report", {"--samples": "1_0"}, "--samples must be an integer: value is '1_0'"),
     ("report", {"--seed": "-1"}, "--seed must be an integer: value is '-1'"),
+    *[
+        (command, {"--seed": "9" * 60}, f"{LONG_SEED} is '{'9' * 20}' ... (60 characters)")
+        for command in ("gen", "evaluate", "simulate", "report")
+    ],
+    ("evaluate", {"--seed": "0" * 20 + "1"}, f"{LONG_SEED} is '{'0' * 20}' ... (21 characters)"),
 ], ids=[
     "gen-n", "gen-capacity", "gen-seed", "gen-n-long", "two-underscore", "two-exponent",
     "two-bare-point", "length-underscore", "length-exponent", "length-trailing-point",
     "evaluate-samples", "evaluate-seed", "simulate-seed", "report-samples", "report-seed",
+    "gen-seed-long", "evaluate-seed-long", "simulate-seed-long", "report-seed-long",
+    "evaluate-seed-zero-padded",
 ])
 def test_flags_take_ascii_digits_only(tmp_path, capsys, corpus_dir, command, flags, message):
     out = tmp_path / "out.csv"
@@ -263,6 +271,23 @@ def test_flags_keep_plain_digits_and_decimals(tmp_path, capsys, corpus_dir):
         capsys, "evaluate", "--instance", str(out), "--policy", "unsplit",
         "--mode", "mc", "--samples", "0100", "--seed", "00",
     )
+    assert code == 0
+
+
+@pytest.mark.parametrize("seed", ["9", "18446744073709551615"])
+def test_every_seed_flag_takes_up_to_twenty_digits(tmp_path, capsys, corpus_dir, seed):
+    e1 = str(corpus_dir / "E1.json")
+    out = tmp_path / "inst.json"
+    code, _, _ = run_cli(capsys, "gen", "--n", "3", "--capacity", "2", "--pmf", "det:1",
+                         "--seed", seed, "--out", str(out))
+    assert code == 0
+    assert parse_document(out.read_text(encoding="utf-8")).name == f"path-n3-q2-s{int(seed)}"
+    code, stdout, _ = run_cli(capsys, "evaluate", "--instance", e1, "--policy", "split",
+                              "--mode", "mc", "--samples", "3", "--seed", seed)
+    assert (code, json.loads(stdout)["estimate"]["seed"]) == (0, int(seed))
+    assert run_cli(capsys, "simulate", "--instance", e1, "--policy", "split", "--seed", seed)[0] == 0
+    code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus_dir),
+                         "--out-csv", str(tmp_path / "r.csv"), "--seed", seed)
     assert code == 0
 
 
@@ -697,6 +722,25 @@ def test_report_refuses_a_plot_file_that_is_its_csv(tmp_path, capsys, corpus_dir
     )
     assert (code, stdout) == (2, "")
     assert stderr == f"error: --out-plot {spelling!r} names the same file as --out-csv 'same.csv'\n"
+    assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--out-csv", "missing/r.csv"], "--out-csv 'missing/r.csv': 'missing' is not a directory"),
+    (["--out-csv", "file.txt/r.csv"], "--out-csv 'file.txt/r.csv': 'file.txt' is not a directory"),
+    (["--out-csv", "r.csv", "--out-plot", "missing/p.csv"],
+     "--out-plot 'missing/p.csv': 'missing' is not a directory"),
+    (["--out-csv", "r.csv", "--out-plot", "file.txt/p.csv"],
+     "--out-plot 'file.txt/p.csv': 'file.txt' is not a directory"),
+], ids=["csv-missing", "csv-under-a-file", "plot-missing", "plot-under-a-file"])
+def test_report_refuses_an_output_outside_a_directory(tmp_path, capsys, corpus_dir, monkeypatch, flags, message):
+    # Checked before any work: an existing CSV keeps its bytes and nothing is created.
+    monkeypatch.chdir(tmp_path)
+    before = {"r.csv": "old\n", "file.txt": "text\n"}
+    for name, text in before.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "report", "--corpus-dir", str(corpus_dir), *flags)
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
     assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == before
 
 

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from treevrpsd import (
     BadCapacityError,
     CycleOrForestError,
+    GeneratorParams,
     InvalidOrderError,
     NonpositiveLengthError,
     UnknownVertexError,
     build_tree,
     check_preorder,
     dfs_order,
+    generate_document,
+    parse_document,
     path_distance,
 )
+from treevrpsd.instance_io import TOPOLOGIES
 from treevrpsd.tree import lowest_common_ancestor
 
 from helpers import (
@@ -28,6 +32,7 @@ from helpers import (
     outcome,
     random_edges,
     shuffled_preorder,
+    stack_walk_preorder,
 )
 
 PATH3 = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)]
@@ -42,7 +47,7 @@ def test_build_tree_basic_fields():
     assert tree.depot_dist == (0.0, 1.0, 3.0, 3.5)
     assert tree.depth == (0, 1, 2, 3)
     assert tree.total_edge_length == 3.5
-    assert tree.children[0] == (1,)
+    assert tree.preorder == (1, 2, 3)
 
 
 def test_build_tree_rejects_bad_inputs():
@@ -177,6 +182,25 @@ def test_dfs_order_prefers_lower_numbered_children():
     assert dfs_order(tree) == (1, 3, 2)
 
 
+def test_preorder_matches_the_stack_walk_oracle(corpus_dir):
+    rng = random.Random(16)
+    edge_lists = [
+        parse_document(path.read_text(encoding="utf-8")).edges for path in sorted(corpus_dir.glob("*.json"))
+    ]
+    for k in range(80):
+        params = GeneratorParams(
+            n=rng.randint(0, 40), capacity=3, topology=TOPOLOGIES[k % len(TOPOLOGIES)],
+            pmf="det:1", seed=k, length_range=(0.5, 2.0),
+        )
+        edge_lists.append(generate_document(params).edges)
+    for edges in edge_lists:
+        edges = list(edges)
+        rng.shuffle(edges)  # the order of the edge list does not matter
+        tree = build_tree(edges, capacity=3)
+        assert tree.preorder == stack_walk_preorder(tree.parent), edges
+        assert dfs_order(tree) is tree.preorder
+
+
 def test_dfs_order_is_a_preorder_and_walks_twice_total_length():
     rng = random.Random(13)
     for _ in range(50):
@@ -184,6 +208,7 @@ def test_dfs_order_is_a_preorder_and_walks_twice_total_length():
         tree = build_tree(random_edges(rng, n), capacity=2)
         order = dfs_order(tree)
         check_preorder(tree, order)
+        check_preorder(tree, list(order))  # equal to the stored order, not it
         assert math.isclose(
             closed_walk_length(tree, order), 2.0 * tree.total_edge_length, rel_tol=1e-9
         )
