@@ -16,7 +16,7 @@ import json
 import sys
 from bisect import bisect_right
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .bounds import bound_set
 from .demand import Realization, replication_rng, sample_realization
@@ -132,11 +132,12 @@ def _int_flag(text: str, flag: str) -> int:
 
 
 def _seed_flag(text: str) -> int:
-    if len(text) > SEED_DIGITS and text.isascii() and text.isdigit():
+    seed = _int_flag(text, "--seed")
+    if len(text) > SEED_DIGITS:
         raise BadParamsError(
             f"--seed must be an integer of at most {SEED_DIGITS} digits: value is {_shown(text)}"
         )
-    return _int_flag(text, "--seed")
+    return seed
 
 
 def _parse_demand_list(text: str) -> tuple[int, ...]:
@@ -244,7 +245,7 @@ def _evaluate_rows(doc, tree, model) -> list[dict]:
     return rows
 
 
-def _write_histogram(path: Path, rows: Sequence[dict]) -> None:
+def _write_histogram(handle: TextIO, rows: Sequence[dict]) -> None:
     # A ratio on a printed edge counts in the bin that starts there.
     # Ratios below 1 or at/above 3 cannot occur for these policies; they
     # would count in the end bins, so a row is never dropped silently.
@@ -252,12 +253,11 @@ def _write_histogram(path: Path, rows: Sequence[dict]) -> None:
     counts = {policy: [0] * HIST_BINS for policy in POLICIES}
     for row in rows:
         counts[row["policy"]][bisect_right(inner_edges, row["ratio_vs_lb"])] += 1
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["policy", "bin_low", "bin_high", "count"])
-        for policy in POLICIES:
-            for i, count in enumerate(counts[policy]):
-                writer.writerow([policy, HIST_EDGES[i], HIST_EDGES[i + 1], count])
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["policy", "bin_low", "bin_high", "count"])
+    for policy in POLICIES:
+        for i, count in enumerate(counts[policy]):
+            writer.writerow([policy, HIST_EDGES[i], HIST_EDGES[i + 1], count])
 
 
 def _same_file(a: Path, b: Path) -> bool:
@@ -275,8 +275,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise BadParamsError(f"--corpus-dir {args.corpus_dir!r} is not a directory")
     out_csv = Path(args.out_csv)
     out_plot = Path(args.out_plot) if args.out_plot else out_csv.with_suffix(".plot.csv")
-    # Refuse a bad output path before writing anything, so one output is
-    # never replaced while the other cannot be written.
+    # A missing output directory is a usage error, refused before any work.
     for flag, path in (("--out-csv", out_csv), ("--out-plot", out_plot)):
         if not path.parent.is_dir():
             raise BadParamsError(f"{flag} {str(path)!r}: {str(path.parent)!r} is not a directory")
@@ -296,12 +295,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
             failures.append((path.name, str(exc)))
     rows.sort(key=lambda row: (row["instance"], row["policy"]))
 
-    with out_csv.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+    # Both outputs are opened before either is truncated, so when one
+    # cannot be opened (a directory, a file without write permission) the
+    # other keeps its bytes; a file that did not exist may be left empty.
+    with out_csv.open("a", encoding="utf-8", newline="") as table, \
+            out_plot.open("a", encoding="utf-8", newline="") as plot:
+        table.truncate(0)
+        plot.truncate(0)
+        writer = csv.writer(table, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
             writer.writerow([_cell(row[c]) for c in REPORT_COLUMNS])
-    _write_histogram(out_plot, rows)
+        _write_histogram(plot, rows)
     print(out_csv)
 
     if failures:

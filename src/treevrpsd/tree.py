@@ -55,7 +55,9 @@ class TreeInstance:
         Vehicle capacity Q >= 1.
     preorder:
         The a priori visiting order: the customers in depth-first
-        preorder, children in ascending index order.
+        preorder, children in ascending index order.  ``check_preorder``,
+        the exact cost and both edge bounds trust it unchecked, so build
+        instances with ``build_tree``, not by hand or ``dataclasses.replace``.
     depot_dist:
         ``depot_dist[v]`` is the path distance from the depot to ``v``.
     depth:
@@ -199,8 +201,8 @@ def check_preorder(tree: TreeInstance, order: Sequence[int]) -> None:
     A sequence is a preorder for some child ordering iff, scanning left
     to right with a stack of the currently open root path, each vertex's
     parent is still on the stack once deeper branches are popped.  The
-    tree's own ``preorder`` passes at once; any other order is checked
-    in full.
+    tree's own ``preorder`` passes at once, trusted as ``build_tree``
+    made it; any other order is checked in full.
     """
     seq = tuple(order)
     if seq == tree.preorder:

@@ -460,7 +460,8 @@ def test_histogram_counts_a_ratio_on_an_edge_in_the_bin_above(tmp_path):
     rows = [{"policy": "split", "ratio_vs_lb": float(low)} for low in edges[:-1]]
     rows += [{"policy": "unsplit", "ratio_vs_lb": r} for r in (0.5, 1.25, 2.999, 3.0, 7.0)]
     plot = tmp_path / "plot.csv"
-    cli._write_histogram(plot, rows)
+    with plot.open("w", encoding="utf-8", newline="") as handle:
+        cli._write_histogram(handle, rows)
     lines = plot.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "policy,bin_low,bin_high,count"
     assert lines[1:21] == [f"split,{low},{high},1" for low, high in zip(edges, edges[1:])]
@@ -742,6 +743,23 @@ def test_report_refuses_an_output_outside_a_directory(tmp_path, capsys, corpus_d
     code, stdout, stderr = run_cli(capsys, "report", "--corpus-dir", str(corpus_dir), *flags)
     assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
     assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("flags", [
+    ["--out-csv", "r.csv", "--out-plot", "taken"],
+    ["--out-csv", "taken", "--out-plot", "r.csv"],
+], ids=["plot-is-a-directory", "csv-is-a-directory"])
+def test_report_leaves_the_other_output_when_one_cannot_be_opened(
+    tmp_path, capsys, corpus_dir, monkeypatch, flags
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "r.csv").write_text("old\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "report", "--corpus-dir", str(corpus_dir), *flags)
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: [Errno 21] Is a directory: 'taken'")
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "taken"]
 
 
 def test_report_missing_directory_exits_2(tmp_path, capsys):
