@@ -283,8 +283,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise BadParamsError(
             f"--out-plot {args.out_plot!r} names the same file as --out-csv {args.out_csv!r}"
         )
-    _int_flag(args.samples, "--samples")  # unused; read only to refuse a bad spelling
-    _seed_flag(args.seed)
 
     rows: list[dict] = []
     failures: list[tuple[str, str]] = []
@@ -382,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--corpus-dir", required=True)
     report.add_argument("--out-csv", required=True)
     report.add_argument("--out-plot", default=None, help="histogram CSV (default: <out-csv>.plot.csv)")
-    report.add_argument("--samples", default="10000", help="unused; accepted for compatibility")
-    report.add_argument("--seed", default="0", help="unused; accepted for compatibility")
     report.set_defaults(handler=_cmd_report)
 
     return parser

@@ -8,16 +8,14 @@ independent of the demands, the stock on arrival at every customer is
 therefore uniform on {1..Q} and independent of that customer's demand:
 customer i is an exact breakpoint with probability 1/Q and a deficit
 breakpoint with probability (E[D_i] - 1)/Q.  The expected cost is the
-walk length 2S plus those probabilities times the detours: an exact
-breakpoint reroutes to the next stop via the depot, and in a preorder
-the next stop's parent is the two stops' common ancestor, so the
-reroutes add ``2*d(0, parent v)`` once per customer v, whatever the
-preorder; a deficit adds ``DEFICIT_TRIPS`` round trips to the depot.
-Exact mode therefore reads per-vertex data and no walk.  Monte Carlo
-mode draws independent replications, each from a private generator
-seeded by a pure function of (master seed, replication index), so
-estimates are reproducible bit for bit and replications could run in
-any order.
+walk length 2S plus those probabilities times the detours that
+:func:`~treevrpsd.policy.breakpoint_prices` lists per vertex, so exact
+mode reads per-vertex data and no walk.  Monte Carlo mode prices each
+realization from the same table, laid out in stop order by
+:class:`~treevrpsd.policy.WalkGeometry`, and draws independent
+replications, each from a private generator seeded by a pure function
+of (master seed, replication index), so estimates are reproducible bit
+for bit and replications could run in any order.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .demand import DemandModel, replication_rng, sample_realization
 # The benchmark tracer (perfbench/tracing.py) wraps evaluator.enumerate_joint by name.
 from .demand import enumerate_joint  # noqa: F401
 from .errors import BadParamsError
-from .policy import DEFICIT_TRIPS, POLICIES, SPLIT, WalkGeometry
+from .policy import POLICIES, SPLIT, WalkGeometry, breakpoint_prices
 from .tree import TreeInstance, dfs_order
 
 EXACT = "exact"
@@ -75,24 +73,21 @@ def _check_policy(policy: str) -> None:
 def exact_expected_cost(tree: TreeInstance, model: DemandModel, policy: str) -> float:
     """Exact expectation over the demands and the uniform initial load.
 
-    ``2S + sum_v [2*d(0, parent v) / Q + (E[D_v] - 1)/Q * m_v * 2*d(0, v)]``
-    over the customers v, where ``m_v`` is ``DEFICIT_TRIPS[policy]``'s
-    inner count, or its last-stop count at the last stop of the tree's
-    stored ``preorder``.  The sum is the same for every preorder with
-    that last stop.
+    ``2S + sum_v [reroute[v] + (E[D_v] - 1) * deficit[v]] / Q`` over the
+    customers v, with the :func:`~treevrpsd.policy.breakpoint_prices`
+    at the last stop of the tree's stored ``preorder``.  The sum is the
+    same for every preorder with that last stop.
     Linear in the number of customers; nothing is enumerated, so there
     is no size limit.
     """
     _check_policy(policy)
     capacity = tree.capacity
-    depot_dist = tree.depot_dist
-    inner, at_last = DEFICIT_TRIPS[policy]
     last = tree.preorder[-1] if tree.preorder else 0
+    reroute, deficit = breakpoint_prices(tree, policy, last)
+    # The depot's entries are 0.0 and add nothing to the sum.
     terms = [2.0 * tree.total_edge_length]
-    for v in range(1, tree.vertex_count):
-        trips = at_last if v == last else inner
-        terms.append(2.0 * depot_dist[tree.parent[v]] / capacity)
-        terms.append((model.pmfs[v - 1].mean - 1.0) * (trips * (2.0 * depot_dist[v])) / capacity)
+    terms += [r / capacity for r in reroute]
+    terms += [(pmf.mean - 1.0) * d / capacity for pmf, d in zip(model.pmfs, deficit[1:])]
     return math.fsum(terms)
 
 

@@ -29,10 +29,10 @@ with the same stock afterwards.  Averaged over the uniform
 initial load l in {1..Q}, each customer is a breakpoint with
 probability exactly q_i/Q.
 
-Traces and :class:`WalkGeometry` price a leg between consecutive stops
-from parent pointers: in a preorder the next stop's parent is the two
-stops' lowest common ancestor.  Every other move touches the depot, so
-a trace takes O(1) per event on any tree.
+Traces price a leg between consecutive stops from parent pointers: in a
+preorder the next stop's parent is the two stops' lowest common
+ancestor.  Every other move touches the depot, so a trace takes O(1)
+per event on any tree.  Costs read :func:`breakpoint_prices` instead.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class RunTrace:
     """
 
     policy: str
-    breakpoints: frozenset[int]
     breakpoint_kinds: Mapping[int, str]
     post_customer_loads: tuple[int, ...]
     total_length: float
@@ -93,8 +92,8 @@ def _check_realization(tree: TreeInstance, r: Realization) -> None:
 
 
 def _walk_legs(tree: TreeInstance, seq: tuple[int, ...]) -> tuple[float, ...]:
-    """Legs of the closed walk depot, seq..., depot, for a checked preorder:
-    ``path_distance``'s expression with each common ancestor read off."""
+    """Trace legs of the closed walk depot, seq..., depot, for a checked
+    preorder: ``path_distance``'s expression with each common ancestor read off."""
     dd = tree.depot_dist
     stops = (0, *seq, 0)
     lcas = [tree.parent[b] for b in seq] + [0]  # the depot for the final leg
@@ -173,7 +172,6 @@ def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: s
 
     return RunTrace(
         policy=policy,
-        breakpoints=frozenset(kinds),
         breakpoint_kinds=kinds,
         post_customer_loads=tuple(post_loads),
         total_length=math.fsum(moved),
@@ -216,40 +214,50 @@ def format_trace(trace: RunTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class WalkGeometry:
-    """Per-(tree, order) walk geometry: the cost of one realization in O(n).
+def breakpoint_prices(tree: TreeInstance, policy: str, last: int) -> tuple[list[float], list[float]]:
+    """What a breakpoint adds to a preorder's closed walk ``2 * S``, by vertex.
 
-    ``legs`` are the distances between consecutive stops of the closed
-    walk depot, order..., depot.  A run costs their sum plus, per
-    breakpoint, a detour fixed by the customer's position: an exact
-    breakpoint reroutes via the depot (``reroute_extra``, zero at the
-    final stop); a deficit adds ``deficit_detour[policy]``,
-    :data:`DEFICIT_TRIPS` depot round trips ``2*d(0, v)``.  Costs agree
-    with the trace totals up to float accumulation.
+    ``reroute[w] = 2*d(0, parent w)`` is an exact breakpoint at the stop
+    before ``w``, which heads to ``w`` via the depot: in a preorder
+    ``w``'s parent is the two stops' common ancestor.  It is 0 for the
+    depot (where the walk ends) and the depot's children.  ``deficit[v]``
+    is :data:`DEFICIT_TRIPS` depot round trips ``2*d(0, v)``, the inner
+    count, or the last-stop count at ``last``.
+    """
+    depot_dist = tree.depot_dist
+    inner, at_last = DEFICIT_TRIPS[policy]
+    reroute = [0.0]
+    reroute += [2.0 * depot_dist[p] for p in tree.parent[1:]]
+    # Doubling is exact, so each price is one rounding of trips * 2 * d.
+    round_trips = 2.0 * inner
+    deficit = [round_trips * d for d in depot_dist]
+    deficit[last] = 2.0 * at_last * depot_dist[last]
+    return reroute, deficit
+
+
+class WalkGeometry:
+    """Per-(tree, order) cost of one realization in O(n): the walk ``2 * S``
+    plus the :func:`breakpoint_prices` of its breakpoints, laid out in stop
+    order as ``reroute_extra`` (zero at the last stop) for an exact one and
+    ``deficit_detour[policy]`` for a deficit.  Costs agree with the trace
+    totals up to float accumulation.
     """
 
-    __slots__ = ("capacity", "legs", "base_length", "demand_index", "reroute_extra", "deficit_detour")
+    __slots__ = ("capacity", "base_length", "demand_index", "reroute_extra", "deficit_detour")
 
     def __init__(self, tree: TreeInstance, order: Sequence[int]):
         check_preorder(tree, order)
         seq = tuple(order)
-        stops = [0, *seq, 0]
-        legs = _walk_legs(tree, seq)
+        last = seq[-1] if seq else 0
         self.capacity = tree.capacity
-        self.legs = legs
-        self.base_length = math.fsum(legs)
+        self.base_length = 2.0 * tree.total_edge_length
         self.demand_index = tuple(v - 1 for v in seq)
-        # Detour for heading to the next stop via the depot instead of the
-        # direct leg: d(0,v) + d(0,next) - direct == 2*d(0, lca(v, next)).
-        self.reroute_extra = tuple(
-            tree.depot_dist[seq[k]] + tree.depot_dist[stops[k + 2]] - legs[k + 1]
-            for k in range(len(seq))
-        )
-        round_trip = [2.0 * tree.depot_dist[v] for v in seq]
-        self.deficit_detour = {
-            policy: tuple([inner * t for t in round_trip[:-1]] + [last * t for t in round_trip[-1:]])
-            for policy, (inner, last) in DEFICIT_TRIPS.items()
-        }
+        self.deficit_detour = {}
+        for policy in POLICIES:
+            reroute, deficit = breakpoint_prices(tree, policy, last)
+            self.deficit_detour[policy] = tuple([deficit[v] for v in seq])
+        # The stop after stop k is seq[k + 1], then the depot, whose price is 0.
+        self.reroute_extra = tuple([reroute[w] for w in (*seq, 0)[1:]])
 
     def split_cost(self, demands: Sequence[int], initial_load: int) -> float:
         return self._cost(self.deficit_detour[SPLIT], demands, initial_load)

@@ -89,11 +89,18 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
     assert code == 2
 
 
-def test_unknown_flag_exits_2(tmp_path):
+def test_unknown_flag_exits_2(tmp_path, corpus_dir):
     with pytest.raises(SystemExit) as info:
         main(["gen", "--n", "2", "--capacity", "2", "--pmf", "det:1",
               "--out", str(tmp_path / "x.json"), "--bogus"])
     assert info.value.code == 2
+    # report is exact only: it has no Monte Carlo --samples or --seed
+    out = tmp_path / "r.csv"
+    for flag in ("--samples", "--seed"):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--corpus-dir", str(corpus_dir), "--out-csv", str(out), flag, "1"])
+        assert info.value.code == 2
+    assert not out.exists()
 
 
 def test_unreadable_instance_exits_1(capsys):
@@ -227,18 +234,16 @@ LONG_SEED = "--seed must be an integer of at most 20 digits: value"
     ("evaluate", {"--samples": " 1_00"}, "--samples must be an integer: value is ' 1_00'"),
     ("evaluate", {"--seed": "+1"}, "--seed must be an integer: value is '+1'"),
     ("simulate", {"--seed": " 3"}, "--seed must be an integer: value is ' 3'"),
-    ("report", {"--samples": "1_0"}, "--samples must be an integer: value is '1_0'"),
-    ("report", {"--seed": "-1"}, "--seed must be an integer: value is '-1'"),
     *[
         (command, {"--seed": "9" * 60}, f"{LONG_SEED} is '{'9' * 20}' ... (60 characters)")
-        for command in ("gen", "evaluate", "simulate", "report")
+        for command in ("gen", "evaluate", "simulate")
     ],
     ("evaluate", {"--seed": "0" * 20 + "1"}, f"{LONG_SEED} is '{'0' * 20}' ... (21 characters)"),
 ], ids=[
     "gen-n", "gen-capacity", "gen-seed", "gen-n-long", "two-underscore", "two-exponent",
     "two-bare-point", "length-underscore", "length-exponent", "length-trailing-point",
-    "evaluate-samples", "evaluate-seed", "simulate-seed", "report-samples", "report-seed",
-    "gen-seed-long", "evaluate-seed-long", "simulate-seed-long", "report-seed-long",
+    "evaluate-samples", "evaluate-seed", "simulate-seed",
+    "gen-seed-long", "evaluate-seed-long", "simulate-seed-long",
     "evaluate-seed-zero-padded",
 ])
 def test_flags_take_ascii_digits_only(tmp_path, capsys, corpus_dir, command, flags, message):
@@ -286,9 +291,6 @@ def test_every_seed_flag_takes_up_to_twenty_digits(tmp_path, capsys, corpus_dir,
                               "--mode", "mc", "--samples", "3", "--seed", seed)
     assert (code, json.loads(stdout)["estimate"]["seed"]) == (0, int(seed))
     assert run_cli(capsys, "simulate", "--instance", e1, "--policy", "split", "--seed", seed)[0] == 0
-    code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus_dir),
-                         "--out-csv", str(tmp_path / "r.csv"), "--seed", seed)
-    assert code == 0
 
 
 def test_evaluate_exact_json(capsys, corpus_dir):
@@ -394,7 +396,7 @@ def test_report_bytes_on_corpus_are_pinned(tmp_path, capsys, corpus_dir):
 
 # SHA-256 over the Monte Carlo, trace, bounds and gen bytes, pinned like the
 # report's (CPython 3.11, Linux x86-64).
-SAMPLED_OUTPUTS_SHA256 = "35b2341349e51f461cefc465938f3f19bd59f947adf29bf8e440163c3ff66e43"
+SAMPLED_OUTPUTS_SHA256 = "b74dc7899f1e4ea11a6cc63dd8df8bc78718c34807a0d9deabdf9da2fb5eea7a"
 
 
 def test_sampled_trace_bounds_and_gen_bytes_are_pinned(tmp_path, capsys, corpus_dir):

@@ -155,13 +155,21 @@ def test_monte_carlo_reproducible_and_consistent(e4):
     assert abs(a.mean - exact) <= 4.0 * a.stderr
 
 
-def test_monte_carlo_zero_variance_when_cost_is_constant():
+def test_monte_carlo_zero_variance_when_cost_is_constant(corpus_dir):
     # single customer with demand exactly Q: every run costs 2*d regardless of load
     tree = build_tree([(0, 1, 1.5)], capacity=1)
     model = point_model((1,), capacity=1)
     estimate = monte_carlo_cost(tree, model, "unsplit", samples=100, master_seed=0)
     assert estimate.mean == 3.0
     assert estimate.stderr == 0.0
+    # unit demands at Q = 2 cost the same under either start load; both
+    # routes read one price table, so the mean is the exact cost bit for bit
+    path = corpus_dir / "caterpillar-n5-q2-s112.json"
+    tree, model = parse_instance(path.read_text(encoding="utf-8"))
+    for policy in POLICIES:
+        estimate = monte_carlo_cost(tree, model, policy, samples=200, master_seed=7)
+        assert estimate.stderr == 0.0
+        assert estimate.mean == exact_expected_cost(tree, model, policy)
 
 
 def test_monte_carlo_requires_two_samples(e1):

@@ -24,8 +24,9 @@ from treevrpsd import (
     run_split,
     run_unsplit,
     sample_realization,
+    tour_floor,
 )
-from treevrpsd.policy import POLICIES
+from treevrpsd.policy import POLICIES, _walk_legs
 
 from helpers import (
     arithmetic_breakpoints,
@@ -56,13 +57,13 @@ def test_e1_totals_per_load():
     # load 1: exact breakpoint at customer 1, refill detour of 2
     assert split1.total_length == 6.0
     assert unsplit1.total_length == 6.0
-    assert split1.breakpoints == frozenset({1})
+    assert set(split1.breakpoint_kinds) == {1}
     assert split1.breakpoint_kinds == {1: "exact"}
     split2, unsplit2 = _runs(tree, (1, 1), 2)
     # load 2: exact breakpoint only at the final customer, no refill
     assert split2.total_length == 4.0
     assert unsplit2.total_length == 4.0
-    assert split2.breakpoints == frozenset({2})
+    assert set(split2.breakpoint_kinds) == {2}
     assert split2.breakpoint_kinds == {2: "exact"}
 
 
@@ -229,6 +230,21 @@ def test_walk_geometry_equals_trace_totals():
         assert geometry.unsplit_cost(demands, load) >= geometry.split_cost(demands, load)
 
 
+def test_walk_without_breakpoints_costs_the_tour_floor(corpus_dir):
+    # The walk is priced as 2S, not as a sum of legs that can differ from
+    # it in the last bit, as on these three corpus trees.
+    names = ("caterpillar-n5-q2-s112", "path-n6-q4-s103", "random-attachment-n5-q4-s108")
+    for name in names:
+        tree, _ = parse_instance((corpus_dir / f"{name}.json").read_text(encoding="utf-8"))
+        n = tree.n_customers
+        edges = [(tree.parent[v], v, tree.edge_length[v]) for v in range(1, n + 1)]
+        roomy = build_tree(edges, capacity=n + 1)
+        geometry = WalkGeometry(roomy, dfs_order(roomy))
+        demands = (1,) * n
+        assert geometry.split_cost(demands, n + 1) == tour_floor(roomy)
+        assert geometry.unsplit_cost(demands, n + 1) == tour_floor(roomy)
+
+
 def test_breakpoints_agree_with_arithmetic_rule():
     rng = random.Random(24)
     for _ in range(100):
@@ -242,7 +258,7 @@ def test_breakpoints_agree_with_arithmetic_rule():
         by_position = arithmetic_breakpoints(
             [demands[v - 1] for v in order], load, capacity
         )
-        assert {order[i - 1] for i in by_position} == set(trace.breakpoints)
+        assert {order[i - 1] for i in by_position} == set(trace.breakpoint_kinds)
 
 
 def test_coupling_split_unsplit_share_breakpoints_and_loads():
@@ -256,7 +272,7 @@ def test_coupling_split_unsplit_share_breakpoints_and_loads():
         for load in range(1, capacity + 1):
             s = run_split(tree, order, Realization(demands, load))
             u = run_unsplit(tree, order, Realization(demands, load))
-            assert s.breakpoints == u.breakpoints
+            assert set(s.breakpoint_kinds) == set(u.breakpoint_kinds)
             assert s.breakpoint_kinds == u.breakpoint_kinds
             assert s.post_customer_loads == u.post_customer_loads
             # unsplit never beats split on the same realization
@@ -336,7 +352,7 @@ def test_trace_execution_is_linear_on_deep_path(monkeypatch):
             calls = 0
             trace = run(tree, order, Realization(demands, load))
             assert calls <= n + 1
-            assert len(trace.breakpoints) == n
+            assert len(trace.breakpoint_kinds) == n
             assert math.isclose(trace.total_length, cost(demands, load), rel_tol=1e-9)
 
 
@@ -350,19 +366,19 @@ def _legs_test_tree(rng, n, shape):
 
 
 def test_walk_legs_equal_path_distance_oracle():
-    # Legs come from parent pointers; the oracle walks to the common
-    # ancestor. Equal bit for bit, under ascending and shuffled preorders.
+    # The executor's legs come from parent pointers; the oracle walks to the
+    # common ancestor. Equal bit for bit, under ascending and shuffled preorders.
     rng = random.Random(31)
     for k in range(200):
         tree = _legs_test_tree(rng, rng.randint(0, 40), ("star", "path", "random")[k % 3])
         for order in (dfs_order(tree), shuffled_preorder(tree, rng)):
-            assert WalkGeometry(tree, order).legs == path_distance_legs(tree, order)
+            assert _walk_legs(tree, tuple(order)) == path_distance_legs(tree, order)
 
 
 def test_walk_legs_equal_path_distance_oracle_on_deep_path():
     tree = _legs_test_tree(random.Random(32), 100_000, "path")
     order = dfs_order(tree)
-    assert WalkGeometry(tree, order).legs == path_distance_legs(tree, order)
+    assert _walk_legs(tree, tuple(order)) == path_distance_legs(tree, order)
 
 
 def test_traces_make_no_path_distance_calls_on_deep_path(monkeypatch):
@@ -389,7 +405,7 @@ def test_traces_make_no_path_distance_calls_on_deep_path(monkeypatch):
     for load in (1, 2):
         for run in (run_split, run_unsplit):
             trace = run(tree, order, Realization((2,) * n, load))
-            assert len(trace.breakpoints) == n
+            assert len(trace.breakpoint_kinds) == n
     assert calls == Counter()
 
 
