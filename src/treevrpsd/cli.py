@@ -30,6 +30,7 @@ from .instance_io import (
     generate_document,
     parse_document,
     document_to_instance,
+    rewrite,
     serialize_document,
 )
 from .oracle import EDGE, PARTITION, PARTITION_MAX_CUSTOMERS, expected_clairvoyant_lb
@@ -97,8 +98,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         length_range=(low, high),
         name=args.name,
     )
-    doc = generate_document(params)
-    Path(args.out).write_text(serialize_document(doc), encoding="utf-8")
+    out = Path(args.out)
+    _check_out_dir("--out", out)
+    text = serialize_document(generate_document(params))
+    with rewrite(out) as (handle,):
+        handle.write(text)
     print(args.out)
     return 0
 
@@ -260,6 +264,12 @@ def _write_histogram(handle: TextIO, rows: Sequence[dict]) -> None:
             writer.writerow([policy, HIST_EDGES[i], HIST_EDGES[i + 1], count])
 
 
+def _check_out_dir(flag: str, path: Path) -> None:
+    # A missing output directory is a usage error, refused before any work.
+    if not path.parent.is_dir():
+        raise BadParamsError(f"{flag} {str(path)!r}: {str(path.parent)!r} is not a directory")
+
+
 def _same_file(a: Path, b: Path) -> bool:
     """Whether ``a`` and ``b`` are two names (links) of one existing file,
     or one path spelled two ways."""
@@ -275,10 +285,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise BadParamsError(f"--corpus-dir {args.corpus_dir!r} is not a directory")
     out_csv = Path(args.out_csv)
     out_plot = Path(args.out_plot) if args.out_plot else out_csv.with_suffix(".plot.csv")
-    # A missing output directory is a usage error, refused before any work.
-    for flag, path in (("--out-csv", out_csv), ("--out-plot", out_plot)):
-        if not path.parent.is_dir():
-            raise BadParamsError(f"{flag} {str(path)!r}: {str(path.parent)!r} is not a directory")
+    _check_out_dir("--out-csv", out_csv)
+    _check_out_dir("--out-plot", out_plot)
     if _same_file(out_plot, out_csv):
         raise BadParamsError(
             f"--out-plot {args.out_plot!r} names the same file as --out-csv {args.out_csv!r}"
@@ -293,13 +301,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
             failures.append((path.name, str(exc)))
     rows.sort(key=lambda row: (row["instance"], row["policy"]))
 
-    # Both outputs are opened before either is truncated, so when one
-    # cannot be opened (a directory, a file without write permission) the
-    # other keeps its bytes; a file that did not exist may be left empty.
-    with out_csv.open("a", encoding="utf-8", newline="") as table, \
-            out_plot.open("a", encoding="utf-8", newline="") as plot:
-        table.truncate(0)
-        plot.truncate(0)
+    # Both outputs are opened before either is written, so when one cannot
+    # be opened (a directory, a file without write permission) the other
+    # keeps its bytes; a file that did not exist may be left empty.  Each
+    # is rewritten in place and cut to its new length, also when the run
+    # fails part way, which leaves only the new prefix written so far.
+    # Nothing is synced to disk (no fsync).
+    with rewrite(out_csv, out_plot) as (table, plot):
         writer = csv.writer(table, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in rows:

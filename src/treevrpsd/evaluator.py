@@ -83,7 +83,7 @@ def exact_expected_cost(tree: TreeInstance, model: DemandModel, policy: str) -> 
     _check_policy(policy)
     capacity = tree.capacity
     last = tree.preorder[-1] if tree.preorder else 0
-    reroute, deficit = breakpoint_prices(tree, policy, last)
+    reroute, (deficit,) = breakpoint_prices(tree, last, policy)
     # The depot's entries are 0.0 and add nothing to the sum.
     terms = [2.0 * tree.total_edge_length]
     terms += [r / capacity for r in reroute]

@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
+import stat
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .demand import DemandModel, DemandPMF, make_pmf
 from .errors import (
@@ -302,6 +306,34 @@ def serialize_instance(tree: TreeInstance, model: DemandModel, name: str) -> str
     return serialize_document(document_from_instance(tree, model, name))
 
 
+_REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+@contextmanager
+def rewrite(*paths: str | Path) -> Iterator[list[TextIO]]:
+    """Write UTF-8 text over each of ``paths`` in place, creating missing files.
+
+    Every file is opened, without truncating it, before the block runs,
+    so when one cannot be opened the others keep their bytes.  On
+    leaving the block, also on an exception, each regular file is cut
+    at its handle's position: it then holds exactly what the block
+    wrote, and a failed block leaves only the prefix it wrote.  This
+    costs less than truncating to zero first.  Newlines are written as
+    given, on every platform.  Nothing is synced to disk.
+    """
+    with ExitStack() as stack:
+        handles = [
+            stack.enter_context(open(os.open(path, _REWRITE_FLAGS, 0o666), "w", encoding="utf-8", newline=""))
+            for path in paths
+        ]
+        # Registered after the closes, so each cut runs before its close.
+        # /dev/null or a pipe takes the text but cannot be cut.
+        for handle in handles:
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                stack.callback(handle.truncate)
+        yield handles
+
+
 # -- pmf mini-language ------------------------------------------------------
 
 def parse_pmf_spec(spec: str, capacity: int) -> DemandPMF:
@@ -464,6 +496,7 @@ def write_corpus(directory: str | Path) -> list[Path]:
     paths = []
     for doc in corpus_documents():
         path = base / f"{doc.name}.json"
-        path.write_text(serialize_document(doc), encoding="utf-8")
+        with rewrite(path) as (handle,):
+            handle.write(serialize_document(doc))
         paths.append(path)
     return paths

@@ -214,25 +214,31 @@ def format_trace(trace: RunTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def breakpoint_prices(tree: TreeInstance, policy: str, last: int) -> tuple[list[float], list[float]]:
+def breakpoint_prices(
+    tree: TreeInstance, last: int, *policies: str
+) -> tuple[list[float], tuple[list[float], ...]]:
     """What a breakpoint adds to a preorder's closed walk ``2 * S``, by vertex.
 
     ``reroute[w] = 2*d(0, parent w)`` is an exact breakpoint at the stop
     before ``w``, which heads to ``w`` via the depot: in a preorder
     ``w``'s parent is the two stops' common ancestor.  It is 0 for the
-    depot (where the walk ends) and the depot's children.  ``deficit[v]``
-    is :data:`DEFICIT_TRIPS` depot round trips ``2*d(0, v)``, the inner
+    depot (where the walk ends) and the depot's children.  One
+    ``deficit`` list per named policy: ``deficit[v]`` is
+    :data:`DEFICIT_TRIPS` depot round trips ``2*d(0, v)``, the inner
     count, or the last-stop count at ``last``.
     """
     depot_dist = tree.depot_dist
-    inner, at_last = DEFICIT_TRIPS[policy]
     reroute = [0.0]
     reroute += [2.0 * depot_dist[p] for p in tree.parent[1:]]
-    # Doubling is exact, so each price is one rounding of trips * 2 * d.
-    round_trips = 2.0 * inner
-    deficit = [round_trips * d for d in depot_dist]
-    deficit[last] = 2.0 * at_last * depot_dist[last]
-    return reroute, deficit
+    deficits = []
+    for policy in policies:
+        inner, at_last = DEFICIT_TRIPS[policy]
+        # Doubling is exact, so each price is one rounding of trips * 2 * d.
+        round_trips = 2.0 * inner
+        deficit = [round_trips * d for d in depot_dist]
+        deficit[last] = 2.0 * at_last * depot_dist[last]
+        deficits.append(deficit)
+    return reroute, tuple(deficits)
 
 
 class WalkGeometry:
@@ -252,10 +258,10 @@ class WalkGeometry:
         self.capacity = tree.capacity
         self.base_length = 2.0 * tree.total_edge_length
         self.demand_index = tuple(v - 1 for v in seq)
-        self.deficit_detour = {}
-        for policy in POLICIES:
-            reroute, deficit = breakpoint_prices(tree, policy, last)
-            self.deficit_detour[policy] = tuple([deficit[v] for v in seq])
+        reroute, deficits = breakpoint_prices(tree, last, *POLICIES)
+        self.deficit_detour = {
+            policy: tuple([deficit[v] for v in seq]) for policy, deficit in zip(POLICIES, deficits)
+        }
         # The stop after stop k is seq[k + 1], then the depot, whose price is 0.
         self.reroute_extra = tuple([reroute[w] for w in (*seq, 0)[1:]])
 

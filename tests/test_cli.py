@@ -764,6 +764,70 @@ def test_report_leaves_the_other_output_when_one_cannot_be_opened(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "taken"]
 
 
+GEN_ARGS = ("gen", "--n", "40", "--capacity", "5", "--topology", "random-attachment",
+            "--pmf", "unif:1-5", "--seed", "3", "--length-range", "0.5", "2.0")
+
+
+@pytest.mark.parametrize("command", ["report", "gen"])
+def test_outputs_written_over_longer_files_equal_fresh_writes(tmp_path, capsys, corpus_dir, command):
+    def run(directory: Path) -> dict[str, bytes]:
+        if command == "report":
+            argv = ["report", "--corpus-dir", str(corpus_dir), "--out-csv", str(directory / "r.csv")]
+        else:
+            argv = [*GEN_ARGS, "--out", str(directory / "g.json")]
+        assert run_cli(capsys, *argv)[0] == 0
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    fresh_dir, old_dir = tmp_path / "fresh", tmp_path / "old"
+    fresh_dir.mkdir()
+    old_dir.mkdir()
+    fresh = run(fresh_dir)
+    assert sorted(fresh) == (["r.csv", "r.plot.csv"] if command == "report" else ["g.json"])
+    for name, data in fresh.items():
+        (old_dir / name).write_bytes(b"x" * (len(data) + 4096))
+    assert run(old_dir) == fresh
+
+
+def test_report_whose_plot_fails_leaves_the_new_csv_and_an_empty_plot(tmp_path, capsys, corpus_dir, monkeypatch):
+    fresh = tmp_path / "fresh.csv"
+    assert run_cli(capsys, "report", "--corpus-dir", str(corpus_dir), "--out-csv", str(fresh))[0] == 0
+    out_csv, plot = tmp_path / "r.csv", tmp_path / "r.plot.csv"
+    for path in (out_csv, plot):
+        path.write_bytes(b"x" * (len(fresh.read_bytes()) + 4096))
+
+    def fail(handle, rows):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(cli, "_write_histogram", fail)
+    code, stdout, stderr = run_cli(capsys, "report", "--corpus-dir", str(corpus_dir), "--out-csv", str(out_csv))
+    assert (code, stdout, stderr) == (1, "", "error: no space left\n")
+    assert out_csv.read_bytes() == fresh.read_bytes()
+    assert plot.read_bytes() == b""
+
+
+@pytest.mark.parametrize("out, message", [
+    ("missing/x.json", "--out 'missing/x.json': 'missing' is not a directory"),
+    ("file.txt/x.json", "--out 'file.txt/x.json': 'file.txt' is not a directory"),
+], ids=["missing", "under-a-file"])
+def test_gen_refuses_an_output_outside_a_directory_before_generating(tmp_path, capsys, monkeypatch, out, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("text\n", encoding="utf-8")
+
+    def generate(params):
+        raise AssertionError("generated before the output directory was checked")
+
+    monkeypatch.setattr(cli, "generate_document", generate)
+    code, stdout, stderr = run_cli(capsys, *GEN_ARGS, "--out", out)
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+
+def test_gen_writes_to_a_file_that_cannot_be_cut(capsys):
+    # A character device takes the text but has no length to cut it to.
+    code, stdout, stderr = run_cli(capsys, *GEN_ARGS, "--out", os.devnull)
+    assert (code, stdout, stderr) == (0, f"{os.devnull}\n", "")
+
+
 def test_report_missing_directory_exits_2(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "report", "--corpus-dir", str(tmp_path / "missing"),

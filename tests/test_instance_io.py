@@ -605,3 +605,10 @@ def test_generated_corpus_instances_stay_exact_enumerable():
         tree, model = document_to_instance(doc)
         for policy in ("split", "unsplit"):
             assert exact_expected_cost(tree, model, policy) > 0.0
+
+
+def test_write_corpus_over_longer_files_matches_the_committed_corpus(tmp_path, corpus_dir):
+    for path in corpus_dir.glob("*.json"):
+        (tmp_path / path.name).write_bytes(b"x" * (path.stat().st_size + 4096))
+    for path in write_corpus(tmp_path):
+        assert path.read_bytes() == (corpus_dir / path.name).read_bytes(), path.name
