@@ -7,7 +7,10 @@ closed forms: with ``floor = 2S`` and
 * expected split cost   <= floor + radial   <= 2 * max(floor, radial),
 * expected unsplit cost <= floor + 2*radial <= 3 * max(floor, radial),
 
-and both ``floor`` and ``radial`` lower-bound the optimum.  The trace
+and both ``floor`` and ``radial`` lower-bound the optimum.  Under the
+uniform initial load the expected costs are affine in the two
+(:func:`~treevrpsd.evaluator.exact_expected_cost`), which sharpens the
+guarantees to ``2 - 1/Q`` and, for Q >= 2, ``3 - 2/Q``.  The trace
 certificate is the per-realization counterpart of ``radial`` computed
 from an actual tour decomposition, and ``clairvoyant_edge_lb`` is the
 edge-crossing bound that holds for every policy even with demands known

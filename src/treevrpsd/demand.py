@@ -31,9 +31,9 @@ from .errors import (
 
 NORMALIZATION_TOL = 1e-12
 
-# Joint enumeration is capped at a fixed 10^6 vectors to keep the
-# partition oracle interactive.
-ENUM_LIMIT = 10**6
+# Joint enumeration is capped at 4096 vectors (4^6): the partition oracle
+# inside ``report`` solves one tour-partition search per vector.
+ENUM_LIMIT = 4096
 
 # Counts above this are printed as a power of ten, not digit by digit.
 EXACT_COUNT_MAX = 10**12

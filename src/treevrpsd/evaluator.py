@@ -7,12 +7,11 @@ on the current demand D.  With the initial load uniform on {1..Q} and
 independent of the demands, the stock on arrival at every customer is
 therefore uniform on {1..Q} and independent of that customer's demand:
 customer i is an exact breakpoint with probability 1/Q and a deficit
-breakpoint with probability (E[D_i] - 1)/Q.  The expected cost is the
-walk length 2S plus those probabilities times the detours that
-:func:`~treevrpsd.policy.breakpoint_prices` lists per vertex, so exact
-mode reads per-vertex data and no walk.  Monte Carlo mode prices each
-realization from the same table, laid out in stop order by
-:class:`~treevrpsd.policy.WalkGeometry`, and draws independent
+breakpoint with probability (E[D_i] - 1)/Q.  Summed over the customers,
+those detours make the expected cost affine in the two lower bounds of
+:mod:`~treevrpsd.bounds`, so exact mode reads the bounds and no walk.
+Monte Carlo mode prices each realization from the per-stop detours of
+:class:`~treevrpsd.policy.WalkGeometry` and draws independent
 replications, each from a private generator seeded by a pure function
 of (master seed, replication index), so estimates are reproducible bit
 for bit and replications could run in any order.
@@ -23,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BoundSet, bound_set
+from .bounds import BoundSet, bertsimas_lb, bound_set, tour_floor
 from .demand import DemandModel, replication_rng, sample_realization
 # The benchmark tracer (perfbench/tracing.py) wraps evaluator.enumerate_joint by name.
 from .demand import enumerate_joint  # noqa: F401
 from .errors import BadParamsError
-from .policy import POLICIES, SPLIT, WalkGeometry, breakpoint_prices
+from .policy import DEFICIT_TRIPS, POLICIES, SPLIT, WalkGeometry
 from .tree import TreeInstance, dfs_order
 
 EXACT = "exact"
@@ -73,21 +72,27 @@ def _check_policy(policy: str) -> None:
 def exact_expected_cost(tree: TreeInstance, model: DemandModel, policy: str) -> float:
     """Exact expectation over the demands and the uniform initial load.
 
-    ``2S + sum_v [reroute[v] + (E[D_v] - 1) * deficit[v]] / Q`` over the
-    customers v, with the :func:`~treevrpsd.policy.breakpoint_prices`
-    at the last stop of the tree's stored ``preorder``.  The sum is the
-    same for every preorder with that last stop.
-    Linear in the number of customers; nothing is enumerated, so there
-    is no size limit.
+    Arithmetic on the tour floor ``F`` and the radial bound ``R`` of
+    :mod:`~treevrpsd.bounds`, with ``(inner, at_last)`` the policy's
+    :data:`~treevrpsd.policy.DEFICIT_TRIPS` and ``last`` the last stop of
+    the tree's stored ``preorder`` (see the README's derivation)::
+
+        (1 - 1/Q)*F + inner*R + (2/Q)*(1 - inner)*sum_v d(0, v)
+          + (2/Q)*(at_last - inner)*(E[D_last] - 1)*d(0, last)
+
+    For split that is ``(1 - 1/Q)*F + R``.  Linear in the number of
+    customers; nothing is enumerated, so there is no size limit.
     """
     _check_policy(policy)
+    inner, at_last = DEFICIT_TRIPS[policy]
     capacity = tree.capacity
-    last = tree.preorder[-1] if tree.preorder else 0
-    reroute, (deficit,) = breakpoint_prices(tree, last, policy)
-    # The depot's entries are 0.0 and add nothing to the sum.
-    terms = [2.0 * tree.total_edge_length]
-    terms += [r / capacity for r in reroute]
-    terms += [(pmf.mean - 1.0) * d / capacity for pmf, d in zip(model.pmfs, deficit[1:])]
+    depot_dist = tree.depot_dist
+    floor = tour_floor(tree)
+    # F and -F/Q as two terms: one rounding fewer than (1 - 1/Q) * F.
+    terms = [floor, -floor / capacity, inner * bertsimas_lb(tree, model)]
+    terms.append((2.0 / capacity) * (1 - inner) * math.fsum(depot_dist))
+    terms += [(2.0 / capacity) * (at_last - inner) * (model.pmfs[v - 1].mean - 1.0) * depot_dist[v]
+              for v in tree.preorder[-1:]]  # none in a depot-only walk
     return math.fsum(terms)
 
 

@@ -32,7 +32,7 @@ probability exactly q_i/Q.
 Traces price a leg between consecutive stops from parent pointers: in a
 preorder the next stop's parent is the two stops' lowest common
 ancestor.  Every other move touches the depot, so a trace takes O(1)
-per event on any tree.  Costs read :func:`breakpoint_prices` instead.
+per event on any tree.  Costs read :class:`WalkGeometry`'s prices instead.
 """
 
 from __future__ import annotations
@@ -214,39 +214,14 @@ def format_trace(trace: RunTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def breakpoint_prices(
-    tree: TreeInstance, last: int, *policies: str
-) -> tuple[list[float], tuple[list[float], ...]]:
-    """What a breakpoint adds to a preorder's closed walk ``2 * S``, by vertex.
-
-    ``reroute[w] = 2*d(0, parent w)`` is an exact breakpoint at the stop
-    before ``w``, which heads to ``w`` via the depot: in a preorder
-    ``w``'s parent is the two stops' common ancestor.  It is 0 for the
-    depot (where the walk ends) and the depot's children.  One
-    ``deficit`` list per named policy: ``deficit[v]`` is
-    :data:`DEFICIT_TRIPS` depot round trips ``2*d(0, v)``, the inner
-    count, or the last-stop count at ``last``.
-    """
-    depot_dist = tree.depot_dist
-    reroute = [0.0]
-    reroute += [2.0 * depot_dist[p] for p in tree.parent[1:]]
-    deficits = []
-    for policy in policies:
-        inner, at_last = DEFICIT_TRIPS[policy]
-        # Doubling is exact, so each price is one rounding of trips * 2 * d.
-        round_trips = 2.0 * inner
-        deficit = [round_trips * d for d in depot_dist]
-        deficit[last] = 2.0 * at_last * depot_dist[last]
-        deficits.append(deficit)
-    return reroute, tuple(deficits)
-
-
 class WalkGeometry:
     """Per-(tree, order) cost of one realization in O(n): the walk ``2 * S``
-    plus the :func:`breakpoint_prices` of its breakpoints, laid out in stop
-    order as ``reroute_extra`` (zero at the last stop) for an exact one and
-    ``deficit_detour[policy]`` for a deficit.  Costs agree with the trace
-    totals up to float accumulation.
+    plus what its breakpoints add, priced in stop order.  An exact one
+    heads to the next stop ``w`` via the depot, and ``w``'s parent is the
+    two stops' common ancestor: ``reroute_extra`` is ``2*d(0, parent w)``,
+    0 at the last stop.  A deficit at ``v`` costs ``deficit_detour[policy]``,
+    :data:`DEFICIT_TRIPS` round trips ``2*d(0, v)``.  Costs agree with the
+    trace totals up to float accumulation.
     """
 
     __slots__ = ("capacity", "base_length", "demand_index", "reroute_extra", "deficit_detour")
@@ -254,16 +229,18 @@ class WalkGeometry:
     def __init__(self, tree: TreeInstance, order: Sequence[int]):
         check_preorder(tree, order)
         seq = tuple(order)
-        last = seq[-1] if seq else 0
+        depot_dist = tree.depot_dist
+        parent = tree.parent
         self.capacity = tree.capacity
         self.base_length = 2.0 * tree.total_edge_length
         self.demand_index = tuple(v - 1 for v in seq)
-        reroute, deficits = breakpoint_prices(tree, last, *POLICIES)
+        self.reroute_extra = tuple([2.0 * depot_dist[parent[w]] for w in seq[1:]] + [0.0])
+        # Doubling is exact, so each price is one rounding of trips * 2 * d.
         self.deficit_detour = {
-            policy: tuple([deficit[v] for v in seq]) for policy, deficit in zip(POLICIES, deficits)
+            policy: tuple([2.0 * inner * depot_dist[v] for v in seq[:-1]]
+                          + [2.0 * at_last * depot_dist[v] for v in seq[-1:]])
+            for policy, (inner, at_last) in DEFICIT_TRIPS.items()
         }
-        # The stop after stop k is seq[k + 1], then the depot, whose price is 0.
-        self.reroute_extra = tuple([reroute[w] for w in (*seq, 0)[1:]])
 
     def split_cost(self, demands: Sequence[int], initial_load: int) -> float:
         return self._cost(self.deficit_detour[SPLIT], demands, initial_load)

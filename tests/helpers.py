@@ -552,8 +552,8 @@ def walk_expected_cost(tree: TreeInstance, model: DemandModel, policy: str, orde
     1/Q an exact breakpoint's reroute via the depot, ``d(0,v) + d(0,w)``
     minus the leg from v to w (zero after the last stop), and with
     probability (E[D_v] - 1)/Q a deficit's depot round trips, two for
-    unsplit and one for split, one at the last stop.  The per-vertex sum
-    of ``exact_expected_cost`` replaced this route.
+    unsplit and one for split, one at the last stop.  The bound
+    arithmetic of ``exact_expected_cost`` replaced this route.
     """
     legs = path_distance_legs(tree, order)
     dd = tree.depot_dist

@@ -380,8 +380,8 @@ def test_enum_limit_of_one_only_empties_the_partition_cell(tmp_path, capsys, cor
 
 
 # SHA-256 of report's CSV and plot file on corpus/, pinned so that later
-# changes keep the report byte for byte (CPython 3.11, Linux x86-64).
-CORPUS_REPORT_SHA256 = "a85e57dec7459c16bf5a4d72f0c3fc3a9765718329fb9e519e5a1898266bfea6"
+# changes keep the report byte for byte (CPython 3.10 to 3.13, Linux x86-64).
+CORPUS_REPORT_SHA256 = "7d9294d08745e0773bbfd912ddbfb20f3692b8fa22a1707884b5c8d5831233da"
 CORPUS_PLOT_SHA256 = "e36dc11d2dc7a7271fc3df27f4027e92e68b8eddd3a5e9057cbc9da7af0c3fec"
 
 
@@ -395,7 +395,7 @@ def test_report_bytes_on_corpus_are_pinned(tmp_path, capsys, corpus_dir):
 
 
 # SHA-256 over the Monte Carlo, trace, bounds and gen bytes, pinned like the
-# report's (CPython 3.11, Linux x86-64).
+# report's (CPython 3.10 to 3.13, Linux x86-64).
 SAMPLED_OUTPUTS_SHA256 = "b74dc7899f1e4ea11a6cc63dd8df8bc78718c34807a0d9deabdf9da2fb5eea7a"
 
 
@@ -695,7 +695,7 @@ def test_report_builds_bounds_and_edge_bound_once_and_no_walk(tmp_path, capsys, 
     out_csv = tmp_path / "report.csv"
     code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))
     assert code == 0
-    # the exact costs read per-vertex data: no WalkGeometry, no preorder
+    # the exact costs are arithmetic on the bounds: no WalkGeometry, no preorder
     assert (calls["geometry"], calls["dfs_order"]) == (0, 0)
     assert calls == {"bound_set": 1, "edge": 1}
     rows = {row["policy"]: row for row in csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())}
@@ -710,6 +710,28 @@ def test_report_builds_bounds_and_edge_bound_once_and_no_walk(tmp_path, capsys, 
     else:
         assert modes == ["edge"]
         assert float(rows["unsplit"]["clairvoyant_lb"]) == edge
+
+
+def test_report_skips_the_partition_oracle_over_the_enumeration_cap(tmp_path, capsys, monkeypatch):
+    # 3^10 = 59,049 joint vectors, over the 4096 cap: report must not
+    # start the partition search, which would take minutes here.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    code, _, _ = run_cli(
+        capsys, "gen", "--n", "10", "--capacity", "4", "--topology", "path", "--pmf", "unif:1-3",
+        "--seed", "5", "--length-range", "0.5", "2.0", "--out", str(corpus / "inst.json"),
+    )
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("the partition oracle ran over the enumeration cap")
+
+    monkeypatch.setattr(oracle, "optimal_unsplit_partition", refuse)
+    out_csv = tmp_path / "report.csv"
+    code, _, stderr = run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))
+    assert (code, stderr) == (0, "")
+    rows = {row["policy"]: row for row in csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())}
+    assert rows["unsplit"]["clairvoyant_lb"] == rows["unsplit"]["sharpened_ratio"] == ""
 
 
 @pytest.mark.parametrize("spelling", ["same.csv", "./same.csv", "link.csv"])

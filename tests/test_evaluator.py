@@ -162,8 +162,9 @@ def test_monte_carlo_zero_variance_when_cost_is_constant(corpus_dir):
     estimate = monte_carlo_cost(tree, model, "unsplit", samples=100, master_seed=0)
     assert estimate.mean == 3.0
     assert estimate.stderr == 0.0
-    # unit demands at Q = 2 cost the same under either start load; both
-    # routes read one price table, so the mean is the exact cost bit for bit
+    # unit demands at Q = 2 cost the same under either start load, so the
+    # mean is the exact cost; the walk's prices and the bound arithmetic
+    # round to the same float here, bit for bit
     path = corpus_dir / "caterpillar-n5-q2-s112.json"
     tree, model = parse_instance(path.read_text(encoding="utf-8"))
     for policy in POLICIES:
@@ -232,3 +233,54 @@ def test_formula_ub_holds_with_declared_tolerance():
         assert split <= bounds.split_ub * (1.0 + UB_REL_TOL)
         assert unsplit <= bounds.unsplit_ub * (1.0 + UB_REL_TOL)
         assert split <= unsplit + 1e-9
+
+
+def _sharpened_guarantee_suite():
+    """Acceptance 05's 200 seeded instances, then 224 generated ones of
+    every topology with Q from 1 to 12 and up to 60 customers."""
+    rng = random.Random(2024)
+    out = []
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        capacity = rng.randint(1, 4)
+        tree = build_tree(random_edges(rng, n), capacity)
+        out.append((tree, random_model(rng, tree, max_support=3)))
+    rng = random.Random(18)
+    for k in range(224):
+        capacity = k % 12 + 1
+        params = GeneratorParams(
+            n=rng.randint(1, 60), capacity=capacity, topology=TOPOLOGIES[k % len(TOPOLOGIES)],
+            pmf="det:1", seed=k, length_range=(0.1, 3.0),
+        )
+        tree, _ = generate(params)
+        out.append((tree, random_model(rng, tree, max_support=capacity)))
+    return out
+
+
+def test_sharpened_guarantees_hold():
+    # E[split] = (1 - 1/Q)*floor + radial and sum_v d(0,v) >= S give
+    # split <= (2 - 1/Q)*LB and, for Q >= 2, unsplit <= (3 - 2/Q)*LB;
+    # at Q = 1 every demand is 1 and both costs are the radial bound.
+    suite = _sharpened_guarantee_suite()
+    assert {tree.capacity for tree, _ in suite} == set(range(1, 13))
+    assert max(tree.n_customers for tree, _ in suite) > 50
+    for tree, model in suite:
+        q = tree.capacity
+        bounds = bound_set(tree, model)
+        split = exact_expected_cost(tree, model, "split")
+        unsplit = exact_expected_cost(tree, model, "unsplit")
+        assert split <= (2.0 - 1.0 / q) * bounds.combined_lb * (1.0 + 1e-9)
+        if q == 1:
+            assert math.isclose(split, bounds.bertsimas, rel_tol=1e-12)
+            assert math.isclose(unsplit, bounds.bertsimas, rel_tol=1e-12)
+        else:
+            assert unsplit <= (3.0 - 2.0 / q) * bounds.combined_lb * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("capacity", range(1, 13))
+def test_sharpened_split_bound_is_reached(capacity):
+    # One customer always demanding Q: every start load but Q runs short.
+    tree = build_tree([(0, 1, 1.5)], capacity)
+    model = point_model((capacity,), capacity)
+    ratio = exact_expected_cost(tree, model, "split") / bound_set(tree, model).combined_lb
+    assert math.isclose(ratio, 2.0 - 1.0 / capacity, rel_tol=1e-12)
