@@ -90,6 +90,15 @@ def trace_certificate(trace: RunTrace, tree: TreeInstance) -> float:
     return (2.0 / tree.capacity) * math.fsum(terms)
 
 
+def edge_crossings(tree: TreeInstance, demands: Sequence[int]) -> list[int]:
+    """``max(1, ceil(D/Q))`` at each vertex v, D the demand below it: the fewest
+    tours serving ``demands`` that cross the edge above v (entry 0 is no edge)."""
+    below = [0, *demands]
+    for v in reversed(tree.preorder):  # every vertex after all of its descendants
+        below[tree.parent[v]] += below[v]
+    return [max(1, -(-d // tree.capacity)) for d in below]
+
+
 def clairvoyant_edge_lb(tree: TreeInstance, demands: Sequence[int]) -> float:
     """Edge-crossing bound for a known demand vector.
 
@@ -101,15 +110,8 @@ def clairvoyant_edge_lb(tree: TreeInstance, demands: Sequence[int]) -> float:
     n = tree.n_customers
     if len(demands) != n:
         raise InconsistentRealizationError(f"{len(demands)} demands for {n} customers")
-    below = [0] * tree.vertex_count
     for v, q in enumerate(demands, 1):
         if not isinstance(q, int) or isinstance(q, bool) or q < 0:
             raise InconsistentRealizationError(f"demand {q!r} of customer {v} is not a nonnegative integer")
-        below[v] = q
-    for v in reversed(tree.preorder):  # every vertex after all of its descendants
-        below[tree.parent[v]] += below[v]
-    capacity = tree.capacity
-    return math.fsum(
-        2.0 * max(1, -(-below[v] // capacity)) * tree.edge_length[v]
-        for v in range(1, tree.vertex_count)
-    )
+    crossings = edge_crossings(tree, demands)
+    return math.fsum(2.0 * crossings[v] * tree.edge_length[v] for v in range(1, tree.vertex_count))

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from bisect import bisect_right
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence
 
 from .bounds import bound_set
 from .demand import Realization, replication_rng, sample_realization
@@ -30,8 +31,8 @@ from .instance_io import (
     generate_document,
     parse_document,
     document_to_instance,
-    rewrite,
     serialize_document,
+    write_texts,
 )
 from .oracle import EDGE, PARTITION, PARTITION_MAX_CUSTOMERS, expected_clairvoyant_lb
 from .policy import POLICIES, SPLIT, UNSPLIT, format_trace, run_split, run_unsplit
@@ -75,6 +76,15 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_text(header: Sequence[str], lines: Iterable[Sequence]) -> str:
+    """CSV text of a header line and ``lines``, each ending in a bare newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(lines)
+    return buffer.getvalue()
+
+
 def _load_instance(path: str | Path):
     text = Path(path).read_text(encoding="utf-8")
     doc = parse_document(text)
@@ -100,9 +110,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     _check_out_dir("--out", out)
-    text = serialize_document(generate_document(params))
-    with rewrite(out) as (handle,):
-        handle.write(text)
+    write_texts((out, serialize_document(generate_document(params))))
     print(args.out)
     return 0
 
@@ -213,10 +221,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
         columns = [c for c in REPORT_COLUMNS if c in payload]
-        writer.writerow(columns)
-        writer.writerow([_cell(payload[c]) for c in columns])
+        sys.stdout.write(_csv_text(columns, [[_cell(payload[c]) for c in columns]]))
     return 0
 
 
@@ -249,7 +255,7 @@ def _evaluate_rows(doc, tree, model) -> list[dict]:
     return rows
 
 
-def _write_histogram(handle: TextIO, rows: Sequence[dict]) -> None:
+def _histogram(rows: Sequence[dict]) -> str:
     # A ratio on a printed edge counts in the bin that starts there.
     # Ratios below 1 or at/above 3 cannot occur for these policies; they
     # would count in the end bins, so a row is never dropped silently.
@@ -257,11 +263,8 @@ def _write_histogram(handle: TextIO, rows: Sequence[dict]) -> None:
     counts = {policy: [0] * HIST_BINS for policy in POLICIES}
     for row in rows:
         counts[row["policy"]][bisect_right(inner_edges, row["ratio_vs_lb"])] += 1
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["policy", "bin_low", "bin_high", "count"])
-    for policy in POLICIES:
-        for i, count in enumerate(counts[policy]):
-            writer.writerow([policy, HIST_EDGES[i], HIST_EDGES[i + 1], count])
+    lines = [(p, HIST_EDGES[i], HIST_EDGES[i + 1], n) for p in POLICIES for i, n in enumerate(counts[p])]
+    return _csv_text(("policy", "bin_low", "bin_high", "count"), lines)
 
 
 def _check_out_dir(flag: str, path: Path) -> None:
@@ -301,18 +304,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             failures.append((path.name, str(exc)))
     rows.sort(key=lambda row: (row["instance"], row["policy"]))
 
-    # Both outputs are opened before either is written, so when one cannot
-    # be opened (a directory, a file without write permission) the other
-    # keeps its bytes; a file that did not exist may be left empty.  Each
-    # is rewritten in place and cut to its new length, also when the run
-    # fails part way, which leaves only the new prefix written so far.
-    # Nothing is synced to disk (no fsync).
-    with rewrite(out_csv, out_plot) as (table, plot):
-        writer = csv.writer(table, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in REPORT_COLUMNS])
-        _write_histogram(plot, rows)
+    # Both texts are rendered before either file is opened, so a failure
+    # while rendering leaves both outputs as they were.
+    table = _csv_text(REPORT_COLUMNS, ([_cell(row[c]) for c in REPORT_COLUMNS] for row in rows))
+    write_texts((out_csv, table), (out_plot, _histogram(rows)))
     print(out_csv)
 
     if failures:

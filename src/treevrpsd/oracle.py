@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
+from .bounds import edge_crossings
 # The benchmark tracer (perfbench/tracing.py) wraps oracle.clairvoyant_edge_lb by name.
 from .bounds import clairvoyant_edge_lb  # noqa: F401
 from .demand import DemandModel, DemandPMF, enumerate_joint
@@ -53,9 +54,10 @@ def optimal_unsplit_partition(tree: TreeInstance, demands: Sequence[int]) -> Par
 
     Partitions are enumerated as restricted-growth strings (each
     customer joins an existing group, in index order, or opens a new
-    one) with groups over capacity pruned, so the first optimum found is
-    the lexicographically smallest one.  Group cost is twice the total
-    length of the edges on some member's depot path.
+    one) with groups over capacity pruned, up to the first one that
+    crosses every edge as few times as any can (``bounds.edge_crossings``).
+    Group cost is twice the total length of the edges on some member's
+    depot path.
     """
     n = tree.n_customers
     if n > PARTITION_MAX_CUSTOMERS:
@@ -83,6 +85,7 @@ def optimal_unsplit_partition(tree: TreeInstance, demands: Sequence[int]) -> Par
         path_bits[c] = mask
 
     edge_weight = tree.edge_length
+    fewest = sum(edge_crossings(tree, demands)[1:])  # each group crosses each of its edges once
 
     def added_weight(mask: int, new_bits: int) -> float:
         extra = new_bits & ~mask
@@ -104,8 +107,10 @@ def optimal_unsplit_partition(tree: TreeInstance, demands: Sequence[int]) -> Par
         if running >= best_weight:
             return
         if customer > n:
-            best_weight = running
             best_groups = [list(g) for g in group_members]
+            # An incumbent that meets the edge bound is optimal: prune all the rest.
+            met = sum(mask.bit_count() for mask in group_masks) == fewest
+            best_weight = -math.inf if met else running
             return
         q = demands[customer - 1]
         bits = path_bits[customer]

@@ -22,6 +22,7 @@ from treevrpsd import (
 )
 from treevrpsd import demand
 from treevrpsd.bounds import clairvoyant_edge_lb, tour_floor
+from treevrpsd.instance_io import GeneratorParams, generate
 from treevrpsd.oracle import PARTITION_MAX_CUSTOMERS
 
 from helpers import (
@@ -110,6 +111,18 @@ def test_partition_cost_never_above_unsplit_trace():
             trace = run_unsplit(tree, order, Realization(demands, load))
             assert best.cost <= trace.total_length + 1e-9
         assert best.cost >= clairvoyant_edge_lb(tree, demands) - 1e-9
+
+
+def test_partition_expectation_stops_each_search_at_the_edge_bound():
+    # Every customer hangs off the depot with demand at most Q, so each of
+    # the 1,024 joint vectors has an optimum that crosses every edge once:
+    # the tour floor.  Each search stops at the first such grouping; trying
+    # every partition took seconds.
+    tree, model = generate(GeneratorParams(
+        n=10, capacity=4, topology="star", pmf="two:1,0.5,3", seed=5, length_range=(0.5, 2.0),
+    ))
+    assert expected_clairvoyant_lb(tree, model, mode="partition") == 30.554545773086453
+    assert tour_floor(tree) == 30.554545773086453
 
 
 def test_expected_clairvoyant_modes_and_frozen_value():
