@@ -89,6 +89,14 @@ def _require_number(value, where: str) -> float:
         raise SchemaError(f"{where}: {describe_large_int(value)}") from None
 
 
+def _check_name(name: str, error: type[ValidationError]) -> None:
+    """Refuse a name that cannot be written as UTF-8: it holds a lone surrogate."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise error(f"name: a lone surrogate at character {exc.start} cannot be encoded as UTF-8") from None
+
+
 _DEMAND_KEYS = frozenset({"node", "pmf"})
 
 # The full checks of one item: they word every message, and the loops in
@@ -152,6 +160,7 @@ def parse_document(text: str) -> InstanceDocument:
         raise SchemaError("; ".join(parts))
     if not isinstance(raw["name"], str):
         raise SchemaError(f"name: expected a string, got {raw['name']!r}")
+    _check_name(raw["name"], SchemaError)
     capacity = _require_int(raw["capacity"], "capacity")
     _require_number(capacity, "capacity")  # names a capacity too large for a float
 
@@ -393,6 +402,12 @@ def _check_params(params: GeneratorParams) -> None:
         raise BadParamsError(f"length_range must satisfy 0 < low <= high, got {params.length_range!r}")
     if not isinstance(params.capacity, int) or isinstance(params.capacity, bool) or params.capacity < 1:
         raise BadParamsError(f"capacity must be an integer >= 1, got {params.capacity!r}")
+    try:
+        float(params.capacity)
+    except OverflowError:
+        raise BadParamsError(f"capacity: {describe_large_int(params.capacity)}") from None
+    if params.name is not None:
+        _check_name(params.name, BadParamsError)
 
 
 def generate_document(params: GeneratorParams) -> InstanceDocument:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .demand import Realization
 from .errors import InconsistentRealizationError, describe_int
@@ -62,14 +62,15 @@ class RunTrace:
 
     ``events`` is the chronological log: ``("move", frm, to, dist)``,
     ``("serve", customer, units, load_before, load_after)``, and
-    ``("breakpoint", customer, kind)`` entries in execution order.
-    ``post_customer_loads`` gives the on-board stock at the moment the
-    vehicle leaves each customer for the next a priori stop (or ends
-    the run), in visiting order.
+    ``("breakpoint", customer, kind)`` entries in execution order; the
+    breakpoints are read from it.  ``total_length`` is the correctly
+    rounded sum of the moves' distances.  ``post_customer_loads`` gives
+    the on-board stock at the moment the vehicle leaves each customer
+    for the next a priori stop (or ends the run), in visiting order: no
+    event shows unsplit's restock to ``Q + U - q`` after an inner deficit.
     """
 
     policy: str
-    breakpoint_kinds: Mapping[int, str]
     post_customer_loads: tuple[int, ...]
     total_length: float
     events: tuple[tuple, ...]
@@ -91,57 +92,43 @@ def _check_realization(tree: TreeInstance, r: Realization) -> None:
         raise InconsistentRealizationError(f"initial load {describe_int(load)} outside 1..{q}")
 
 
-def _walk_legs(tree: TreeInstance, seq: tuple[int, ...]) -> tuple[float, ...]:
-    """Trace legs of the closed walk depot, seq..., depot, for a checked
-    preorder: ``path_distance``'s expression with each common ancestor read off."""
-    dd = tree.depot_dist
-    stops = (0, *seq, 0)
-    lcas = [tree.parent[b] for b in seq] + [0]  # the depot for the final leg
-    return tuple(dd[a] + dd[b] - 2.0 * dd[c] for a, b, c in zip(stops, stops[1:], lcas))
-
-
 def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: str) -> RunTrace:
     _check_realization(tree, r)
     seq = tuple(order)
     check_preorder(tree, seq)
-    legs = _walk_legs(tree, seq)
     depot_dist = tree.depot_dist
+    parent = tree.parent
     capacity = tree.capacity
     demands = r.demands
     split = policy == SPLIT
     final = len(seq) - 1
     events: list[tuple] = []
     add = events.append
-    moved: list[float] = []  # every move's distance, in execution order
-    walk = moved.append
-    kinds: dict[int, str] = {}
     post_loads: list[int] = []
     position = 0
     load = r.initial_load
     for idx, v in enumerate(seq):
         q = demands[v - 1]
-        # Every move touches the depot except the walk leg from the
-        # previous customer, so depot_dist and legs price all of them.
-        dist = legs[idx] if position else depot_dist[v]
+        # Every move touches the depot except the walk leg from the previous
+        # customer, priced as path_distance with v's parent as the common ancestor.
+        if position:
+            dist = depot_dist[position] + depot_dist[v] - 2.0 * depot_dist[parent[v]]
+        else:
+            dist = depot_dist[v]
         add(("move", position, v, dist))
-        walk(dist)
         position = v
         if q < load:
             add(("serve", v, q, load, load - q))
             load -= q
         elif q == load:
-            kinds[v] = "exact"
             add(("breakpoint", v, "exact"))
             add(("serve", v, q, load, 0))
             load = 0
             if idx != final:
-                dist = depot_dist[v]
-                add(("move", v, 0, dist))
-                walk(dist)
+                add(("move", v, 0, depot_dist[v]))
                 position = 0
                 load = capacity
         else:
-            kinds[v] = "deficit"
             add(("breakpoint", v, "deficit"))
             dist = depot_dist[v]
             round_trip = (("move", v, 0, dist), ("move", 0, v, dist))
@@ -149,7 +136,6 @@ def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: s
                 remainder = q - load
                 add(("serve", v, load, load, 0))
                 events += round_trip
-                moved += (dist, dist)
                 load = remainder if idx == final else capacity
                 add(("serve", v, remainder, load, load - remainder))
                 load -= remainder
@@ -157,24 +143,19 @@ def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: s
                 events += round_trip
                 add(("serve", v, q, q, 0))
                 if idx == final:
-                    moved += (dist, dist)
                     load = 0
                 else:
                     events += round_trip
-                    moved += (dist, dist, dist, dist)
                     load = capacity + load - q
         post_loads.append(load)
 
     if position != 0:
-        dist = depot_dist[position]
-        add(("move", position, 0, dist))
-        walk(dist)
+        add(("move", position, 0, depot_dist[position]))
 
     return RunTrace(
         policy=policy,
-        breakpoint_kinds=kinds,
         post_customer_loads=tuple(post_loads),
-        total_length=math.fsum(moved),
+        total_length=math.fsum([ev[3] for ev in events if ev[0] == "move"]),
         events=tuple(events),
     )
 

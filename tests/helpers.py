@@ -302,6 +302,11 @@ def expectation(pmf: DemandPMF) -> float:
     return pmf.mean
 
 
+def breakpoint_kinds(trace) -> dict[int, str]:
+    """Each breakpoint customer's kind, read from the trace's events."""
+    return {ev[1]: ev[2] for ev in trace.events if ev[0] == "breakpoint"}
+
+
 def assert_trace_matches_naive(tree: TreeInstance, trace, dist, order, demands, load) -> None:
     """Event-by-event comparison of a library trace against the naive rules."""
     expected = naive_policy_events(dist, order, demands, load, tree.capacity, trace.policy)
@@ -314,8 +319,10 @@ def assert_trace_matches_naive(tree: TreeInstance, trace, dist, order, demands, 
         else:
             got.append(("breakpoint", ev[1], ev[2]))
     assert got == expected
-    for _, frm, to, length in (ev for ev in trace.events if ev[0] == "move"):
+    moves = [ev for ev in trace.events if ev[0] == "move"]
+    for _, frm, to, length in moves:
         assert math.isclose(length, dist[frm][to], rel_tol=1e-9, abs_tol=1e-12)
+    assert trace.total_length == math.fsum(ev[3] for ev in moves)
     assert math.isclose(
         trace.total_length,
         naive_policy_cost(dist, order, demands, load, tree.capacity, trace.policy),

@@ -35,6 +35,7 @@ from treevrpsd.policy import WalkGeometry
 
 from conftest import load_corpus_instance
 from helpers import (
+    breakpoint_kinds,
     breakpoint_probability_exact,
     closed_walk_length,
     independent_expected_cost,
@@ -113,7 +114,7 @@ def test_01_breakpoint_law():
             hits = {v: 0 for v in order}
             for load in range(1, capacity + 1):
                 trace = run_split(tree, order, Realization(demands, load))
-                for v in trace.breakpoint_kinds:
+                for v in breakpoint_kinds(trace):
                     hits[v] += 1
             for position, v in enumerate(order, 1):
                 assert Fraction(hits[v], capacity) == Fraction(demands[v - 1], capacity)
@@ -185,7 +186,7 @@ def test_06_coupling(coupling_suite):
                     r = Realization(demands, load)
                     s = run_split(tree, order, r)
                     u = run_unsplit(tree, order, r)
-                    assert set(s.breakpoint_kinds) == set(u.breakpoint_kinds)
+                    assert set(breakpoint_kinds(s)) == set(breakpoint_kinds(u))
                     assert s.post_customer_loads == u.post_customer_loads
 
 

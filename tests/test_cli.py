@@ -607,6 +607,51 @@ def test_report_lists_a_huge_capacity_instance_as_failed(tmp_path, capsys, corpu
     assert [row["instance"] for row in rows] == ["E1", "E1"]
 
 
+def test_gen_refuses_a_capacity_too_large_for_a_float(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run_cli(
+        capsys, "gen", "--n", "2", "--capacity", "9" * 400, "--pmf", "det:1", "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: capacity: an integer of 400 digits, too large for a float\n"
+    assert not out.exists()
+
+
+SURROGATE_MESSAGE = "name: a lone surrogate at character 2 cannot be encoded as UTF-8"
+
+
+def _surrogate_named_e1(corpus_dir, path):
+    doc = json.loads((corpus_dir / "E1.json").read_text(encoding="utf-8"))
+    doc["name"] = "E1\ud800"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # ASCII: the surrogate is escaped
+
+
+def test_evaluate_refuses_a_name_that_is_not_utf8(tmp_path, capsys, corpus_dir):
+    path = tmp_path / "bad.json"
+    _surrogate_named_e1(corpus_dir, path)
+    code, stdout, stderr = run_cli(
+        capsys, "evaluate", "--instance", str(path), "--policy", "split", "--format", "csv"
+    )
+    assert (code, stdout, stderr) == (2, "", f"error: {SURROGATE_MESSAGE}\n")
+
+
+def test_report_lists_a_name_that_is_not_utf8_as_failed(tmp_path, capsys, corpus_dir):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "E1.json").write_text(
+        (corpus_dir / "E1.json").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    _surrogate_named_e1(corpus_dir, mixed / "bad.json")
+    out_csv = tmp_path / "report.csv"
+    code, _, stderr = run_cli(
+        capsys, "report", "--corpus-dir", str(mixed), "--out-csv", str(out_csv)
+    )
+    assert code == 1
+    assert f"error: bad.json: {SURROGATE_MESSAGE}\n" in stderr
+    rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert [row["instance"] for row in rows] == ["E1", "E1"]
+
+
 @pytest.mark.parametrize("edges, node, pmf, message", [
     (f"[[{HUGE}, 1, 1.0]]", "1", '{"1": 1.0}',
      "edges: edge (<an integer of 401 digits, too large for a float>, 1) names a vertex "

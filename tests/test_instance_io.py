@@ -561,6 +561,19 @@ def test_default_name_and_override():
     assert generate_document(named).name == "mine"
 
 
+def test_generator_refuses_a_name_parse_document_refuses():
+    # A name from the command line keeps undecodable bytes as lone surrogates.
+    message = "name: a lone surrogate at character 1 cannot be encoded as UTF-8"
+    params = GeneratorParams(n=1, capacity=2, topology="star", pmf="det:1", seed=4, name="x\udcff")
+    with pytest.raises(BadParamsError) as info:
+        generate_document(params)
+    assert str(info.value) == message
+    text = serialize_document(generate_document(dataclasses.replace(params, name="x")))
+    with pytest.raises(SchemaError) as info:
+        parse_document(text.replace('"x"', '"x\\udcff"'))
+    assert str(info.value) == message
+
+
 def test_generated_instances_are_valid():
     rng = random.Random(0)
     for _ in range(20):

@@ -26,11 +26,12 @@ from treevrpsd import (
     sample_realization,
     tour_floor,
 )
-from treevrpsd.policy import POLICIES, _walk_legs
+from treevrpsd.policy import POLICIES
 
 from helpers import (
     arithmetic_breakpoints,
     assert_trace_matches_naive,
+    breakpoint_kinds,
     breakpoint_probability_exact,
     brute_distances,
     naive_policy_cost,
@@ -57,14 +58,14 @@ def test_e1_totals_per_load():
     # load 1: exact breakpoint at customer 1, refill detour of 2
     assert split1.total_length == 6.0
     assert unsplit1.total_length == 6.0
-    assert set(split1.breakpoint_kinds) == {1}
-    assert split1.breakpoint_kinds == {1: "exact"}
+    assert set(breakpoint_kinds(split1)) == {1}
+    assert breakpoint_kinds(split1) == {1: "exact"}
     split2, unsplit2 = _runs(tree, (1, 1), 2)
     # load 2: exact breakpoint only at the final customer, no refill
     assert split2.total_length == 4.0
     assert unsplit2.total_length == 4.0
-    assert set(split2.breakpoint_kinds) == {2}
-    assert split2.breakpoint_kinds == {2: "exact"}
+    assert set(breakpoint_kinds(split2)) == {2}
+    assert breakpoint_kinds(split2) == {2: "exact"}
 
 
 def test_e3_totals_per_load_split_vs_unsplit():
@@ -74,17 +75,17 @@ def test_e3_totals_per_load_split_vs_unsplit():
     # the final customer then drains the fresh stock exactly (free there)
     assert split1.total_length == 6.0
     assert unsplit1.total_length == 8.0
-    assert split1.breakpoint_kinds == {1: "deficit", 2: "exact"}
-    assert unsplit1.breakpoint_kinds == {1: "deficit", 2: "exact"}
+    assert breakpoint_kinds(split1) == {1: "deficit", 2: "exact"}
+    assert breakpoint_kinds(unsplit1) == {1: "deficit", 2: "exact"}
     split2, unsplit2 = _runs(tree, (2, 2), 2)
     assert split2.total_length == 6.0
     assert unsplit2.total_length == 6.0
-    assert split2.breakpoint_kinds == {1: "exact"}
+    assert breakpoint_kinds(split2) == {1: "exact"}
     split3, unsplit3 = _runs(tree, (2, 2), 3)
     # final-customer deficit costs one depot round trip for both policies
     assert split3.total_length == 8.0
     assert unsplit3.total_length == 8.0
-    assert split3.breakpoint_kinds == {2: "deficit"}
+    assert breakpoint_kinds(split3) == {2: "deficit"}
 
 
 def test_e2_single_customer_totals():
@@ -258,7 +259,7 @@ def test_breakpoints_agree_with_arithmetic_rule():
         by_position = arithmetic_breakpoints(
             [demands[v - 1] for v in order], load, capacity
         )
-        assert {order[i - 1] for i in by_position} == set(trace.breakpoint_kinds)
+        assert {order[i - 1] for i in by_position} == set(breakpoint_kinds(trace))
 
 
 def test_coupling_split_unsplit_share_breakpoints_and_loads():
@@ -272,8 +273,8 @@ def test_coupling_split_unsplit_share_breakpoints_and_loads():
         for load in range(1, capacity + 1):
             s = run_split(tree, order, Realization(demands, load))
             u = run_unsplit(tree, order, Realization(demands, load))
-            assert set(s.breakpoint_kinds) == set(u.breakpoint_kinds)
-            assert s.breakpoint_kinds == u.breakpoint_kinds
+            assert set(breakpoint_kinds(s)) == set(breakpoint_kinds(u))
+            assert breakpoint_kinds(s) == breakpoint_kinds(u)
             assert s.post_customer_loads == u.post_customer_loads
             # unsplit never beats split on the same realization
             assert u.total_length >= s.total_length - 1e-9
@@ -352,17 +353,27 @@ def test_trace_execution_is_linear_on_deep_path(monkeypatch):
             calls = 0
             trace = run(tree, order, Realization(demands, load))
             assert calls <= n + 1
-            assert len(trace.breakpoint_kinds) == n
+            assert len(breakpoint_kinds(trace)) == n
             assert math.isclose(trace.total_length, cost(demands, load), rel_tol=1e-9)
 
 
 def _legs_test_tree(rng, n, shape):
-    """Star, path or random-attachment tree with non-dyadic edge lengths."""
+    """Star, path or random-attachment tree with non-dyadic edge lengths and
+    room for a unit demand at every customer."""
     edges = []
     for v in range(1, n + 1):
         p = 0 if shape == "star" else v - 1 if shape == "path" else rng.randrange(v)
         edges.append((p, v, rng.uniform(0.1, 3.0)))
-    return build_tree(edges, capacity=rng.randint(1, 6))
+    return build_tree(edges, capacity=n + 1)
+
+
+def _walked_legs(tree, order):
+    """The customer-to-customer moves of a trace that never breaks: unit
+    demands on a full load of n + 1 walk every consecutive pair."""
+    n = tree.n_customers
+    trace = run_split(tree, order, Realization((1,) * n, n + 1))
+    assert breakpoint_kinds(trace) == {}
+    return tuple(ev[3] for ev in trace.events if ev[0] == "move" and ev[1] and ev[2])
 
 
 def test_walk_legs_equal_path_distance_oracle():
@@ -372,13 +383,13 @@ def test_walk_legs_equal_path_distance_oracle():
     for k in range(200):
         tree = _legs_test_tree(rng, rng.randint(0, 40), ("star", "path", "random")[k % 3])
         for order in (dfs_order(tree), shuffled_preorder(tree, rng)):
-            assert _walk_legs(tree, tuple(order)) == path_distance_legs(tree, order)
+            assert _walked_legs(tree, order) == path_distance_legs(tree, order)[1:-1]
 
 
 def test_walk_legs_equal_path_distance_oracle_on_deep_path():
     tree = _legs_test_tree(random.Random(32), 100_000, "path")
     order = dfs_order(tree)
-    assert _walk_legs(tree, tuple(order)) == path_distance_legs(tree, order)
+    assert _walked_legs(tree, order) == path_distance_legs(tree, order)[1:-1]
 
 
 def test_traces_make_no_path_distance_calls_on_deep_path(monkeypatch):
@@ -405,7 +416,7 @@ def test_traces_make_no_path_distance_calls_on_deep_path(monkeypatch):
     for load in (1, 2):
         for run in (run_split, run_unsplit):
             trace = run(tree, order, Realization((2,) * n, load))
-            assert len(trace.breakpoint_kinds) == n
+            assert len(breakpoint_kinds(trace)) == n
     assert calls == Counter()
 
 
@@ -440,5 +451,5 @@ def test_format_trace_matches_oracle_for_every_final_stop_kind():
             for run in (run_split, run_unsplit):
                 trace = run(tree, order, Realization(demands, load))
                 assert format_trace(trace) == per_event_format_trace(trace)
-                final_kinds.add(trace.breakpoint_kinds.get(3))
+                final_kinds.add(breakpoint_kinds(trace).get(3))
     assert final_kinds == {None, "exact", "deficit"}
