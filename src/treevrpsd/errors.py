@@ -43,7 +43,8 @@ class CycleOrForestError(ValidationError):
 
 
 class NonpositiveLengthError(ValidationError):
-    """An edge length is zero, negative, or not finite."""
+    """An edge length is zero, negative, or not finite, or the lengths sum
+    past the limit that keeps every walk cost a finite float."""
 
 
 class BadCapacityError(ValidationError):

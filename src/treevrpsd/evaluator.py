@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BoundSet, bertsimas_lb, bound_set, tour_floor
+from .bounds import BoundSet, bound_set
 from .demand import DemandModel, replication_rng, sample_realization
 # The benchmark tracer (perfbench/tracing.py) wraps evaluator.enumerate_joint by name.
 from .demand import enumerate_joint  # noqa: F401
@@ -69,7 +69,9 @@ def _check_policy(policy: str) -> None:
         raise BadParamsError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
-def exact_expected_cost(tree: TreeInstance, model: DemandModel, policy: str) -> float:
+def exact_expected_cost(
+    tree: TreeInstance, model: DemandModel, policy: str, *, bounds: BoundSet | None = None,
+) -> float:
     """Exact expectation over the demands and the uniform initial load.
 
     Arithmetic on the tour floor ``F`` and the radial bound ``R`` of
@@ -80,16 +82,19 @@ def exact_expected_cost(tree: TreeInstance, model: DemandModel, policy: str) -> 
         (1 - 1/Q)*F + inner*R + (2/Q)*(1 - inner)*sum_v d(0, v)
           + (2/Q)*(at_last - inner)*(E[D_last] - 1)*d(0, last)
 
-    For split that is ``(1 - 1/Q)*F + R``.  Linear in the number of
-    customers; nothing is enumerated, so there is no size limit.
+    For split that is ``(1 - 1/Q)*F + R``.  ``F`` and ``R`` are read from
+    ``bounds``, built unless given.  Linear in the number of customers;
+    nothing is enumerated, so there is no size limit.
     """
     _check_policy(policy)
+    if bounds is None:
+        bounds = bound_set(tree, model)
     inner, at_last = DEFICIT_TRIPS[policy]
     capacity = tree.capacity
     depot_dist = tree.depot_dist
-    floor = tour_floor(tree)
+    floor = bounds.tour_floor
     # F and -F/Q as two terms: one rounding fewer than (1 - 1/Q) * F.
-    terms = [floor, -floor / capacity, inner * bertsimas_lb(tree, model)]
+    terms = [floor, -floor / capacity, inner * bounds.bertsimas]
     terms.append((2.0 / capacity) * (1 - inner) * math.fsum(depot_dist))
     terms += [(2.0 / capacity) * (at_last - inner) * (model.pmfs[v - 1].mean - 1.0) * depot_dist[v]
               for v in tree.preorder[-1:]]  # none in a depot-only walk
@@ -155,7 +160,7 @@ def evaluate(
         bounds = bound_set(tree, model)
     estimate = None
     if mode == EXACT:
-        expected = exact_expected_cost(tree, model, policy)
+        expected = exact_expected_cost(tree, model, policy, bounds=bounds)
     else:
         mode = MONTE_CARLO
         estimate = monte_carlo_cost(tree, model, policy, samples, master_seed)

@@ -32,13 +32,18 @@ probability exactly q_i/Q.
 Traces price a leg between consecutive stops from parent pointers: in a
 preorder the next stop's parent is the two stops' lowest common
 ancestor.  Every other move touches the depot, so a trace takes O(1)
-per event on any tree.  Costs read :class:`WalkGeometry`'s prices instead.
+per event on any tree.  The one walk that applies these rules to a
+realization writes the printed trace as it goes, one formatted group of
+lines per stop, and keeps beside it only the moves' distances and the
+stock after each customer; event tuples are read back from that text on
+request.  Costs read :class:`WalkGeometry`'s prices instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .demand import Realization
@@ -60,20 +65,39 @@ DEFICIT_TRIPS = {SPLIT: (1, 1), UNSPLIT: (2, 1)}
 class RunTrace:
     """Complete record of one policy execution.
 
-    ``events`` is the chronological log: ``("move", frm, to, dist)``,
-    ``("serve", customer, units, load_before, load_after)``, and
-    ``("breakpoint", customer, kind)`` entries in execution order; the
-    breakpoints are read from it.  ``total_length`` is the correctly
-    rounded sum of the moves' distances.  ``post_customer_loads`` gives
-    the on-board stock at the moment the vehicle leaves each customer
-    for the next a priori stop (or ends the run), in visiting order: no
-    event shows unsplit's restock to ``Q + U - q`` after an inner deficit.
+    ``text`` is the chronological log that :func:`format_trace` prints,
+    one line per event: ``MOVE from to dist``, ``SERVE customer units
+    load_before load_after`` and ``BREAKPOINT customer kind``.
+    ``events`` reads it back as ``("move", frm, to, dist)``, ``("serve",
+    customer, units, load_before, load_after)`` and ``("breakpoint",
+    customer, kind)`` tuples; a float's repr reads back bit for bit.
+    ``total_length`` is the correctly rounded sum of the moves'
+    distances.  ``post_customer_loads`` gives the on-board stock at the
+    moment the vehicle leaves each customer for the next a priori stop
+    (or ends the run), in visiting order: no event shows unsplit's
+    restock to ``Q + U - q`` after an inner deficit.
     """
 
     policy: str
     post_customer_loads: tuple[int, ...]
     total_length: float
-    events: tuple[tuple, ...]
+    text: str
+
+    @cached_property
+    def events(self) -> tuple[tuple, ...]:
+        """The lines of ``text`` as tuples, parsed on first read."""
+        events = []
+        add = events.append
+        for line in self.text.splitlines():
+            f = line.split(" ")
+            tag = f[0]
+            if tag == "MOVE":
+                add(("move", int(f[1]), int(f[2]), float(f[3])))
+            elif tag == "SERVE":
+                add(("serve", int(f[1]), int(f[2]), int(f[3]), int(f[4])))
+            else:
+                add(("breakpoint", int(f[1]), f[2]))
+        return tuple(events)
 
 
 def _check_realization(tree: TreeInstance, r: Realization) -> None:
@@ -101,13 +125,18 @@ def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: s
     capacity = tree.capacity
     demands = r.demands
     split = policy == SPLIT
-    final = len(seq) - 1
-    events: list[tuple] = []
-    add = events.append
+    last = seq[-1] if seq else 0  # a preorder lists each stop once
+    lines: list[str] = []
+    add = lines.append
+    # The moves' distances, a depot round trip entered as one exact multiple
+    # of d(0, v): the correctly rounded sum is the same.
+    moves: list[float] = []
+    add_move = moves.append
     post_loads: list[int] = []
+    add_load = post_loads.append
     position = 0
     load = r.initial_load
-    for idx, v in enumerate(seq):
+    for v in seq:
         q = demands[v - 1]
         # Every move touches the depot except the walk leg from the previous
         # customer, priced as path_distance with v's parent as the common ancestor.
@@ -115,48 +144,55 @@ def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: s
             dist = depot_dist[position] + depot_dist[v] - 2.0 * depot_dist[parent[v]]
         else:
             dist = depot_dist[v]
-        add(("move", position, v, dist))
-        position = v
+        add_move(dist)
+        # One line group per stop.  After an exact breakpoint the vehicle
+        # heads back to the depot, to restock or, at the last stop, to end.
         if q < load:
-            add(("serve", v, q, load, load - q))
+            add(f"MOVE {position} {v} {dist!r}\nSERVE {v} {q} {load} {load - q}\n")
             load -= q
+            position = v
         elif q == load:
-            add(("breakpoint", v, "exact"))
-            add(("serve", v, q, load, 0))
-            load = 0
-            if idx != final:
-                add(("move", v, 0, depot_dist[v]))
-                position = 0
-                load = capacity
+            back = depot_dist[v]
+            add_move(back)
+            add(f"MOVE {position} {v} {dist!r}\nBREAKPOINT {v} exact\nSERVE {v} {q} {q} 0\n"
+                f"MOVE {v} 0 {back!r}\n")
+            load = capacity if v != last else 0
+            position = 0
         else:
-            add(("breakpoint", v, "deficit"))
-            dist = depot_dist[v]
-            round_trip = (("move", v, 0, dist), ("move", 0, v, dist))
+            back = depot_dist[v]
+            shown = repr(back)
             if split:
                 remainder = q - load
-                add(("serve", v, load, load, 0))
-                events += round_trip
-                load = remainder if idx == final else capacity
-                add(("serve", v, remainder, load, load - remainder))
-                load -= remainder
+                refill = remainder if v == last else capacity
+                add(f"MOVE {position} {v} {dist!r}\nBREAKPOINT {v} deficit\nSERVE {v} {load} {load} 0\n"
+                    f"MOVE {v} 0 {shown}\nMOVE 0 {v} {shown}\n"
+                    f"SERVE {v} {remainder} {refill} {refill - remainder}\n")
+                add_move(2.0 * back)
+                load = refill - remainder
+            elif v != last:
+                add(f"MOVE {position} {v} {dist!r}\nBREAKPOINT {v} deficit\n"
+                    f"MOVE {v} 0 {shown}\nMOVE 0 {v} {shown}\nSERVE {v} {q} {q} 0\n"
+                    f"MOVE {v} 0 {shown}\nMOVE 0 {v} {shown}\n")
+                add_move(4.0 * back)
+                load = capacity + load - q
             else:
-                events += round_trip
-                add(("serve", v, q, q, 0))
-                if idx == final:
-                    load = 0
-                else:
-                    events += round_trip
-                    load = capacity + load - q
-        post_loads.append(load)
+                add(f"MOVE {position} {v} {dist!r}\nBREAKPOINT {v} deficit\n"
+                    f"MOVE {v} 0 {shown}\nMOVE 0 {v} {shown}\nSERVE {v} {q} {q} 0\n")
+                add_move(2.0 * back)
+                load = 0
+            position = v
+        add_load(load)
 
-    if position != 0:
-        add(("move", position, 0, depot_dist[position]))
+    if position:
+        back = depot_dist[position]
+        add_move(back)
+        add(f"MOVE {position} 0 {back!r}\n")
 
     return RunTrace(
         policy=policy,
         post_customer_loads=tuple(post_loads),
-        total_length=math.fsum([ev[3] for ev in events if ev[0] == "move"]),
-        events=tuple(events),
+        total_length=math.fsum(moves),
+        text="".join(lines),
     )
 
 
@@ -171,28 +207,9 @@ def run_unsplit(tree: TreeInstance, order: VisitOrder, r: Realization) -> RunTra
 
 
 def format_trace(trace: RunTrace) -> str:
-    """Line-oriented dump of a trace for golden-file comparisons.
-
-    One line per event: ``MOVE from to dist``, ``SERVE node units
-    load_before load_after``, ``BREAKPOINT node kind``.
-    """
-    lines: list[str] = []
-    add = lines.append
-    # A depot round trip repeats one depot_dist float: repr it once.
-    last = shown = None
-    for ev in trace.events:
-        tag = ev[0]
-        if tag == "move":
-            dist = ev[3]
-            if dist is not last:
-                last = dist
-                shown = repr(dist)
-            add(f"MOVE {ev[1]} {ev[2]} {shown}")
-        elif tag == "serve":
-            add(f"SERVE {ev[1]} {ev[2]} {ev[3]} {ev[4]}")
-        else:
-            add(f"BREAKPOINT {ev[1]} {ev[2]}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Line-oriented dump of a trace for golden-file comparisons: its
+    ``text``, one line per event (see :class:`RunTrace`)."""
+    return trace.text
 
 
 class WalkGeometry:

@@ -20,6 +20,7 @@ has length ``2 * S``, the refill-free floor for visiting all customers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,7 +87,8 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
     ``edges`` holds (parent, child, length) triples over vertices named
     densely 0..n with the depot at 0.  Raises ``CycleOrForestError`` if
     the edges do not form a single tree rooted at 0,
-    ``NonpositiveLengthError`` for bad lengths, and ``BadCapacityError``
+    ``NonpositiveLengthError`` for bad lengths or lengths whose walk
+    costs would overflow a float, and ``BadCapacityError``
     for a capacity below 1 or too large for a float.
     """
     if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
@@ -133,6 +135,21 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
     if len(order) < n:  # the unreached vertices hang off a cycle
         raise CycleOrForestError("parent pointers contain a cycle")
 
+    # A trace pays 2S for the depth-first walk and at most four depot
+    # distances, each at most S, per customer, so (2 + 4n)*S bounds every
+    # trace, walk and expected cost.  The limit keeps 4(n + 1)*S, a little
+    # more, a float, so that rounding cannot overflow either.
+    limit = sys.float_info.max / (4 * (n + 1))
+    try:
+        total = math.fsum(length)
+    except OverflowError:
+        total = math.inf
+    if total > limit:
+        raise NonpositiveLengthError(
+            f"edge lengths sum past {limit!r}: at n = {n} a walk can cost up to "
+            "(2 + 4n) times the sum, which must stay a finite float"
+        )
+
     return TreeInstance(
         vertex_count=n + 1,
         parent=tuple(parent),
@@ -141,7 +158,7 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
         preorder=tuple(order),
         depot_dist=tuple(dist),
         depth=tuple(depth),
-        total_edge_length=math.fsum(length),
+        total_edge_length=total,
     )
 
 

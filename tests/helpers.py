@@ -36,6 +36,8 @@ from treevrpsd import (
     path_distance,
 )
 
+BREAKPOINT_LINE = re.compile(r"^BREAKPOINT (\d+) (\w+)$", re.MULTILINE)
+
 # Halves are exact in binary, so brute and library sums agree bitwise
 # on most instances and within 1e-9 otherwise.
 EDGE_LENGTHS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -62,7 +64,6 @@ def brute_distances(edges: Sequence[tuple[int, int, float]], vertex_count: int) 
 
 
 def naive_policy_events(
-    dist: Sequence[Sequence[float]],
     order: Sequence[int],
     demands: Sequence[int],
     initial_load: int,
@@ -72,8 +73,8 @@ def naive_policy_events(
     """Event list from a literal reading of the delivery rules.
 
     ``demands`` is indexed by customer id (entry v-1 belongs to customer
-    v).  Events are ("move", frm, to), ("serve", v, units) and
-    ("breakpoint", v, kind).
+    v).  Events are ("move", frm, to), ("serve", v, units, stock_before,
+    stock_after) and ("breakpoint", v, kind).
     """
     events: list[tuple] = []
     position = 0
@@ -84,17 +85,20 @@ def naive_policy_events(
         events.append(("move", position, dest))
         position = dest
 
+    def serve(v: int, units: int) -> None:
+        nonlocal stock
+        events.append(("serve", v, units, stock, stock - units))
+        stock -= units
+
     for idx, v in enumerate(order):
         final = idx == len(order) - 1
         q = demands[v - 1]
         move(v)
         if q < stock:
-            events.append(("serve", v, q))
-            stock -= q
+            serve(v, q)
         elif q == stock:
             events.append(("breakpoint", v, "exact"))
-            events.append(("serve", v, q))
-            stock = 0
+            serve(v, q)
             if not final:
                 move(0)
                 stock = capacity
@@ -102,18 +106,17 @@ def naive_policy_events(
             events.append(("breakpoint", v, "deficit"))
             if policy == "split":
                 shortfall = q - stock
-                events.append(("serve", v, stock))
+                serve(v, stock)
                 move(0)
                 stock = shortfall if final else capacity
                 move(v)
-                events.append(("serve", v, shortfall))
-                stock -= shortfall
+                serve(v, shortfall)
             else:
                 arrival = stock
                 move(0)
+                stock = q  # fetches exactly the demand
                 move(v)
-                events.append(("serve", v, q))
-                stock = 0
+                serve(v, q)
                 if not final:
                     move(0)
                     stock = capacity + arrival - q
@@ -131,8 +134,24 @@ def naive_policy_cost(
     capacity: int,
     policy: str,
 ) -> float:
-    events = naive_policy_events(dist, order, demands, initial_load, capacity, policy)
+    events = naive_policy_events(order, demands, initial_load, capacity, policy)
     return math.fsum(dist[e[1]][e[2]] for e in events if e[0] == "move")
+
+
+def naive_trace_text(tree: TreeInstance, order: Sequence[int], demands: Sequence[int],
+                     initial_load: int, policy: str) -> str:
+    """``format_trace``'s text, one line per naive event: each distance from
+    ``path_distance`` and its ancestor walk, the same float as the
+    executor's leg or depot distance."""
+    lines = []
+    for ev in naive_policy_events(order, demands, initial_load, tree.capacity, policy):
+        if ev[0] == "move":
+            lines.append(f"MOVE {ev[1]} {ev[2]} {path_distance(tree, ev[1], ev[2])!r}\n")
+        elif ev[0] == "serve":
+            lines.append("SERVE %d %d %d %d\n" % ev[1:])
+        else:
+            lines.append("BREAKPOINT %d %s\n" % ev[1:])
+    return "".join(lines)
 
 
 def independent_expected_cost(
@@ -303,22 +322,14 @@ def expectation(pmf: DemandPMF) -> float:
 
 
 def breakpoint_kinds(trace) -> dict[int, str]:
-    """Each breakpoint customer's kind, read from the trace's events."""
-    return {ev[1]: ev[2] for ev in trace.events if ev[0] == "breakpoint"}
+    """Each breakpoint customer's kind, read from the trace's BREAKPOINT lines."""
+    return {int(v): kind for v, kind in BREAKPOINT_LINE.findall(trace.text)}
 
 
 def assert_trace_matches_naive(tree: TreeInstance, trace, dist, order, demands, load) -> None:
     """Event-by-event comparison of a library trace against the naive rules."""
-    expected = naive_policy_events(dist, order, demands, load, tree.capacity, trace.policy)
-    got = []
-    for ev in trace.events:
-        if ev[0] == "move":
-            got.append(("move", ev[1], ev[2]))
-        elif ev[0] == "serve":
-            got.append(("serve", ev[1], ev[2]))
-        else:
-            got.append(("breakpoint", ev[1], ev[2]))
-    assert got == expected
+    expected = naive_policy_events(order, demands, load, tree.capacity, trace.policy)
+    assert [ev[:3] if ev[0] == "move" else ev for ev in trace.events] == expected
     moves = [ev for ev in trace.events if ev[0] == "move"]
     for _, frm, to, length in moves:
         assert math.isclose(length, dist[frm][to], rel_tol=1e-9, abs_tol=1e-12)
@@ -590,7 +601,9 @@ def shuffled_preorder(tree: TreeInstance, rng: random.Random) -> tuple[int, ...]
 
 
 def per_event_format_trace(trace) -> str:
-    """``format_trace`` as one f-string per event, each float repr'd anew."""
+    """A trace's ``events`` written back as text, one f-string per event
+    and each float repr'd anew: equal to ``format_trace`` when the events
+    read the text back faithfully."""
     lines = []
     for ev in trace.events:
         if ev[0] == "move":

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import subprocess
@@ -18,9 +17,10 @@ from treevrpsd import (
     parse_instance,
     replication_rng,
 )
-from treevrpsd import cli, demand, evaluator, oracle
+from treevrpsd import bounds, cli, demand, evaluator, oracle
 from treevrpsd.cli import build_parser, main
 
+import pinned_outputs
 from helpers import linear_scan_realization
 
 
@@ -379,51 +379,15 @@ def test_enum_limit_of_one_only_empties_the_partition_cell(tmp_path, capsys, cor
     assert all(row["mode"] == "exact" for row in rows.values())
 
 
-# SHA-256 of report's CSV and plot file on corpus/, pinned so that later
-# changes keep the report byte for byte (CPython 3.10 to 3.13, Linux x86-64).
-CORPUS_REPORT_SHA256 = "619998cab68ff5f301ce5f4e178118be3cc578ce559389c665c0d4d0a5b23407"
-CORPUS_PLOT_SHA256 = "e36dc11d2dc7a7271fc3df27f4027e92e68b8eddd3a5e9057cbc9da7af0c3fec"
-
-
-def test_report_bytes_on_corpus_are_pinned(tmp_path, capsys, corpus_dir):
-    out_csv = tmp_path / "report.csv"
-    code, _, _ = run_cli(capsys, "report", "--corpus-dir", str(corpus_dir), "--out-csv", str(out_csv))
-    assert code == 0
-    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == CORPUS_REPORT_SHA256
-    plot = tmp_path / "report.plot.csv"
-    assert hashlib.sha256(plot.read_bytes()).hexdigest() == CORPUS_PLOT_SHA256
-
-
-# SHA-256 over the Monte Carlo, trace, bounds and gen bytes, pinned like the
-# report's (CPython 3.10 to 3.13, Linux x86-64).
-SAMPLED_OUTPUTS_SHA256 = "b74dc7899f1e4ea11a6cc63dd8df8bc78718c34807a0d9deabdf9da2fb5eea7a"
-
-
-def test_sampled_trace_bounds_and_gen_bytes_are_pinned(tmp_path, capsys, corpus_dir):
-    digest = hashlib.sha256()
-
-    def add(*argv: str) -> None:
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, err) == (0, "")
-        digest.update(out.encode("utf-8"))
-
-    for path in sorted(corpus_dir.glob("*.json")):
-        for policy in ("split", "unsplit"):
-            add("evaluate", "--instance", str(path), "--policy", policy,
-                "--mode", "mc", "--samples", "200", "--seed", "7")
-            add("simulate", "--instance", str(path), "--policy", policy, "--seed", "3")
-        add("bounds", "--instance", str(path))
-    generated = tmp_path / "caterpillar.json"
-    code, _, _ = run_cli(
-        capsys, "gen", "--n", "300", "--capacity", "10", "--topology", "caterpillar",
-        "--pmf", "two:3,0.5,10", "--seed", "5", "--length-range", "0.5", "2.0",
-        "--out", str(generated),
+def test_report_bytes_on_corpus_are_pinned(tmp_path, corpus_dir):
+    assert pinned_outputs.report_digests(corpus_dir, tmp_path) == (
+        pinned_outputs.CORPUS_REPORT_SHA256, pinned_outputs.CORPUS_PLOT_SHA256,
     )
-    assert code == 0
-    digest.update(generated.read_bytes())
-    for policy in ("split", "unsplit"):
-        add("simulate", "--instance", str(generated), "--policy", policy, "--seed", "3")
-    assert digest.hexdigest() == SAMPLED_OUTPUTS_SHA256
+
+
+def test_sampled_trace_bounds_and_gen_bytes_are_pinned(tmp_path, corpus_dir):
+    digest = pinned_outputs.sampled_outputs_digest(corpus_dir, tmp_path)
+    assert digest == pinned_outputs.SAMPLED_OUTPUTS_SHA256
 
 
 def test_report_over_worked_examples(tmp_path, capsys, corpus_dir):
@@ -652,6 +616,70 @@ def test_report_lists_a_name_that_is_not_utf8_as_failed(tmp_path, capsys, corpus
     assert [row["instance"] for row in rows] == ["E1", "E1"]
 
 
+def _long_edged_document(path, lengths):
+    """A path of ``len(lengths)`` customers, Q = 2, each demand 1 or 2."""
+    edges = ", ".join(f"[{v - 1}, {v}, {length!r}]" for v, length in enumerate(lengths, 1))
+    demands = ", ".join(f'{{"node": {v}, "pmf": {{"1": 0.5, "2": 0.5}}}}' for v in range(1, len(lengths) + 1))
+    path.write_text(f'{{"name": "long", "capacity": 2, "edges": [{edges}], "demands": [{demands}]}}',
+                    encoding="utf-8")
+
+
+def _overflow_message(n):
+    return (f"error: edges: edge lengths sum past {sys.float_info.max / (4 * (n + 1))!r}: at n = {n} "
+            "a walk can cost up to (2 + 4n) times the sum, which must stay a finite float\n")
+
+
+@pytest.mark.parametrize("lengths", [(1e308, 1e308), (1e308,)])
+@pytest.mark.parametrize("command", [
+    ("bounds",),
+    ("evaluate", "--policy", "unsplit"),
+    ("evaluate", "--policy", "split", "--mode", "mc", "--samples", "2"),
+    ("simulate", "--policy", "split", "--load", "1"),
+])
+def test_commands_refuse_lengths_whose_costs_could_overflow(tmp_path, capsys, lengths, command):
+    # The sum of two lengths of 1e308 overflowed build_tree's fsum; one made
+    # 2S infinite, so an exact cost summed inf and -inf, and a trace with a
+    # deficit overflowed its own fsum.  Each died with a traceback.
+    path = tmp_path / "long.json"
+    _long_edged_document(path, lengths)
+    if command[0] == "simulate":
+        command += ("--demands", ",".join(["2"] * len(lengths)))
+    code, stdout, stderr = run_cli(capsys, command[0], "--instance", str(path), *command[1:])
+    assert (code, stdout, stderr) == (2, "", _overflow_message(len(lengths)))
+
+
+def test_report_lists_lengths_whose_costs_could_overflow_as_failed(tmp_path, capsys, corpus_dir):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "E1.json").write_text((corpus_dir / "E1.json").read_text(encoding="utf-8"), encoding="utf-8")
+    _long_edged_document(mixed / "long.json", (1e308, 1e308))
+    out_csv = tmp_path / "report.csv"
+    code, _, stderr = run_cli(capsys, "report", "--corpus-dir", str(mixed), "--out-csv", str(out_csv))
+    assert code == 1
+    assert "error: long.json: " + _overflow_message(2)[len("error: "):] in stderr
+    rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert [row["instance"] for row in rows] == ["E1", "E1"]
+
+
+def test_lengths_at_the_overflow_limit_load_and_every_cost_is_finite(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    half = sys.float_info.max / 24  # two edges summing to the limit at n = 2
+    _long_edged_document(path, (half, half))
+    outputs = []
+    for command in (
+        ("bounds",),
+        ("evaluate", "--policy", "split", "--format", "csv"),
+        ("evaluate", "--policy", "unsplit", "--format", "csv"),
+        # a deficit at both stops: unsplit's costliest walk
+        ("simulate", "--policy", "unsplit", "--demands", "2,2", "--load", "1"),
+        ("simulate", "--policy", "split", "--demands", "2,2", "--load", "1"),
+    ):
+        code, stdout, stderr = run_cli(capsys, command[0], "--instance", str(path), *command[1:])
+        assert (code, stderr) == (0, "")
+        outputs.append(stdout)
+    assert "inf" not in "".join(outputs) and "nan" not in "".join(outputs)
+
+
 @pytest.mark.parametrize("edges, node, pmf, message", [
     (f"[[{HUGE}, 1, 1.0]]", "1", '{"1": 1.0}',
      "edges: edge (<an integer of 401 digits, too large for a float>, 1) names a vertex "
@@ -700,8 +728,8 @@ def test_cached_parser_carries_nothing_between_calls(capsys, corpus_dir, first, 
 
 
 def _count_report_work(monkeypatch) -> tuple[Counter, list[str]]:
-    """Count walk geometries, evaluator preorders, bound sets and edge
-    bounds built; list the clairvoyant modes the report asks for."""
+    """Count walk geometries, evaluator preorders, bound sets, radial bounds
+    and edge bounds built; list the clairvoyant modes the report asks for."""
     calls: Counter = Counter()
     modes: list[str] = []
 
@@ -719,6 +747,10 @@ def _count_report_work(monkeypatch) -> tuple[Counter, list[str]]:
     monkeypatch.setattr(evaluator, "dfs_order", counted("dfs_order", evaluator.dfs_order))
     monkeypatch.setattr(cli, "bound_set", counted("bound_set", cli.bound_set))
     monkeypatch.setattr(evaluator, "bound_set", counted("bound_set", evaluator.bound_set))
+    radial = counted("radial", bounds.bertsimas_lb)
+    monkeypatch.setattr(bounds, "bertsimas_lb", radial)
+    # the evaluator once imported the radial bound under its own name
+    monkeypatch.setattr(evaluator, "bertsimas_lb", radial, raising=False)
     monkeypatch.setattr(oracle, "_expected_edge_lb", counted("edge", oracle._expected_edge_lb))
     monkeypatch.setattr(cli, "expected_clairvoyant_lb", clairvoyant)
     return calls, modes
@@ -739,7 +771,8 @@ def test_report_builds_bounds_and_edge_bound_once_and_no_walk(tmp_path, capsys, 
     assert code == 0
     # the exact costs are arithmetic on the bounds: no WalkGeometry, no preorder
     assert (calls["geometry"], calls["dfs_order"]) == (0, 0)
-    assert calls == {"bound_set": 1, "edge": 1}
+    # both exact costs read the one bound set's radial bound
+    assert calls == {"bound_set": 1, "radial": 1, "edge": 1}
     rows = {row["policy"]: row for row in csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())}
     tree, model = parse_instance(path.read_text(encoding="utf-8"))
     edge = expected_clairvoyant_lb(tree, model, mode="edge")

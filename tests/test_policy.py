@@ -35,6 +35,7 @@ from helpers import (
     breakpoint_probability_exact,
     brute_distances,
     naive_policy_cost,
+    naive_trace_text,
     path_distance_legs,
     per_event_format_trace,
     random_edges,
@@ -430,14 +431,20 @@ def _formatter_cases(corpus_dir):
             ))
 
 
+def _assert_text_matches_naive(tree, order, r, trace):
+    text = format_trace(trace)
+    assert text == naive_trace_text(tree, order, r.demands, r.initial_load, trace.policy)
+    # the events read back from the text write the same text again
+    assert per_event_format_trace(trace) == text
+
+
 def test_format_trace_matches_per_event_oracle(corpus_dir):
     for tree, model in _formatter_cases(corpus_dir):
         order = dfs_order(tree)
         for seed in (0, 7, 42):
             r = sample_realization(model, replication_rng(seed, 0))
             for run in (run_split, run_unsplit):
-                trace = run(tree, order, r)
-                assert format_trace(trace) == per_event_format_trace(trace)
+                _assert_text_matches_naive(tree, order, r, run(tree, order, r))
 
 
 def test_format_trace_matches_oracle_for_every_final_stop_kind():
@@ -448,8 +455,9 @@ def test_format_trace_matches_oracle_for_every_final_stop_kind():
     final_kinds = set()
     for demands in itertools.product((1, 2, 3), repeat=3):
         for load in (1, 2, 3):
+            r = Realization(demands, load)
             for run in (run_split, run_unsplit):
-                trace = run(tree, order, Realization(demands, load))
-                assert format_trace(trace) == per_event_format_trace(trace)
+                trace = run(tree, order, r)
+                _assert_text_matches_naive(tree, order, r, trace)
                 final_kinds.add(breakpoint_kinds(trace).get(3))
     assert final_kinds == {None, "exact", "deficit"}

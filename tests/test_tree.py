@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from enum import IntEnum
 
 import pytest
@@ -125,6 +126,25 @@ def test_build_tree_names_huge_integers_by_size():
         "edge (1, <an integer of 401 digits, too large for a float>) names a vertex "
         "outside 0..2; vertices must be dense"
     )
+
+
+def test_build_tree_refuses_lengths_whose_costs_could_overflow():
+    # 4(n + 1)*S must stay a float: the sum of two lengths of 1e308 is not
+    # one, and one length of 1e308 puts 2S past the largest float.
+    for edges in ([(0, 1, 1e308), (1, 2, 1e308)], [(0, 1, 1e308)]):
+        n = len(edges)
+        with pytest.raises(NonpositiveLengthError) as info:
+            build_tree(edges, capacity=2)
+        assert str(info.value) == (
+            f"edge lengths sum past {sys.float_info.max / (4 * (n + 1))!r}: at n = {n} a walk "
+            "can cost up to (2 + 4n) times the sum, which must stay a finite float"
+        )
+    # at the limit a tree still builds, one ulp per edge above it does not
+    half = sys.float_info.max / 24
+    assert build_tree([(0, 1, half), (1, 2, half)], capacity=2).total_edge_length == 2 * half
+    over = math.nextafter(half, math.inf)
+    with pytest.raises(NonpositiveLengthError):
+        build_tree([(0, 1, over), (1, 2, over)], capacity=2)
 
 
 def test_empty_tree_is_allowed():
