@@ -55,14 +55,11 @@ from .evaluator import (
 from .instance_io import (
     GeneratorParams,
     InstanceDocument,
-    generate,
     generate_document,
     parse_document,
     parse_instance,
     parse_pmf_spec,
     serialize_document,
-    serialize_instance,
-    write_corpus,
 )
 from .oracle import (
     PartitionSolution,
@@ -126,7 +123,6 @@ __all__ = [
     "exact_expected_cost",
     "expected_clairvoyant_lb",
     "format_trace",
-    "generate",
     "generate_document",
     "joint_support_size",
     "make_pmf",
@@ -142,8 +138,6 @@ __all__ = [
     "run_unsplit",
     "sample_realization",
     "serialize_document",
-    "serialize_instance",
     "tour_floor",
     "trace_certificate",
-    "write_corpus",
 ]

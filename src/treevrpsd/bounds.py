@@ -45,10 +45,22 @@ def tour_floor(tree: TreeInstance) -> float:
     return 2.0 * tree.total_edge_length
 
 
+def capacity_scale(capacity: int) -> float:
+    """``2^-k`` with ``k = min(bit_length(Q), 1022)``, a normal float.
+
+    A length times a demand can pass the largest float where its quotient
+    by Q cannot; scaling the demand and Q by this power of two first is
+    exact, so the quotient keeps its unscaled bits.
+    """
+    return math.ldexp(1.0, -min(capacity.bit_length(), 1022))
+
+
 def bertsimas_lb(tree: TreeInstance, model: DemandModel) -> float:
-    """Demand-weighted radial bound (2/Q) * sum_i d(0,i) * E[demand_i]."""
-    return (2.0 / tree.capacity) * math.fsum(
-        tree.depot_dist[i] * pmf.mean
+    """Demand-weighted radial bound (2/Q) * sum_i d(0,i) * E[demand_i], with
+    :func:`capacity_scale` (a term can reach Q*S, while R is at most 2nS)."""
+    scale = capacity_scale(tree.capacity)
+    return (2.0 / (tree.capacity * scale)) * math.fsum(
+        tree.depot_dist[i] * (pmf.mean * scale)
         for i, pmf in enumerate(model.pmfs, 1)
     )
 

@@ -122,9 +122,15 @@ def monte_carlo_cost(
     for r in range(samples):
         real = sample_realization(model, replication_rng(master_seed, r))
         costs.append(cost(real.demands, real.initial_load))
+    # Every cost lies in [2S, (2 + 4n)S].  Scaled by a power of two near the
+    # largest, the terms below stay normal floats that cannot overflow, and
+    # the mean and stderr keep the bits of the unscaled formulas.
+    scale = math.ldexp(1.0, -math.frexp(max(costs))[1])
+    costs = [c * scale for c in costs]
     mean = math.fsum(costs) / samples
     variance = math.fsum((c - mean) ** 2 for c in costs) / (samples - 1)
-    stderr = math.sqrt(variance / samples)
+    stderr = math.sqrt(variance / samples) / scale
+    mean /= scale
     return Estimate(
         mean=mean,
         stderr=stderr,

@@ -1,4 +1,4 @@
-"""Instance documents: parse, serialize, generate, and the golden corpus.
+"""Instance documents: parse, serialize and generate.
 
 Document format is JSON with top-level keys ``name``, ``capacity``,
 ``edges`` (arrays ``[parent, child, length]``), and ``demands`` (array
@@ -7,7 +7,8 @@ keys in that fixed order, edges sorted by child index, pmf keys
 ascending, probabilities as plain decimal literals.  Parsing a
 serialized document reproduces the instance exactly, and serializing is
 byte-stable, which keeps the corpus diffable and the report runs
-reproducible.
+reproducible.  ``corpus/gen.txt`` lists the ``gen`` flags that write
+each committed corpus document.
 
 Vertices are dense integers 0..n in the file with the depot at 0; no
 remapping happens on load.
@@ -30,11 +31,12 @@ from .demand import DemandModel, DemandPMF, make_pmf
 from .errors import (
     BadParamsError,
     InstanceSyntaxError,
+    NonpositiveLengthError,
     SchemaError,
     ValidationError,
     describe_large_int,
 )
-from .tree import TreeInstance, build_tree, describe_non_permutation
+from .tree import TreeInstance, build_tree, describe_non_permutation, length_sum
 
 TOPOLOGIES = ("path", "star", "random-attachment", "caterpillar")
 
@@ -247,16 +249,6 @@ def parse_instance(text: str) -> tuple[TreeInstance, DemandModel]:
 
 # -- serialization ---------------------------------------------------------
 
-def document_from_instance(tree: TreeInstance, model: DemandModel, name: str) -> InstanceDocument:
-    if tree.n_customers != model.n_customers or tree.capacity != model.capacity:
-        raise BadParamsError("tree and demand model disagree on customers or capacity")
-    edges = tuple(
-        (tree.parent[v], v, tree.edge_length[v]) for v in range(1, tree.vertex_count)
-    )
-    demands = tuple((i, pmf.mass) for i, pmf in enumerate(model.pmfs, 1))
-    return InstanceDocument(name=name, capacity=tree.capacity, edges=edges, demands=demands)
-
-
 # json spells the non-finite floats its own way; every other float is its repr.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -308,10 +300,6 @@ def serialize_document(doc: InstanceDocument) -> str:
         f'  "edges": {_json_array(edges)},\n'
         f'  "demands": {_json_array(demands)}\n}}\n'
     )
-
-
-def serialize_instance(tree: TreeInstance, model: DemandModel, name: str) -> str:
-    return serialize_document(document_from_instance(tree, model, name))
 
 
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
@@ -419,7 +407,9 @@ def generate_document(params: GeneratorParams) -> InstanceDocument:
     builds a spine of ceil(n/2) vertices and attaches the remaining
     legs round robin.  The rng draws, in order, the parent of each
     vertex (random-attachment only) and then its edge length (only
-    when the range is non-degenerate).
+    when the range is non-degenerate).  Lengths drawn whose sum passes
+    ``build_tree``'s limit raise ``BadParamsError``, so every document
+    generated loads.
     """
     _check_params(params)
     pmf = parse_pmf_spec(params.pmf, params.capacity)
@@ -439,10 +429,12 @@ def generate_document(params: GeneratorParams) -> InstanceDocument:
         else:  # caterpillar
             parents.append(v - 1 if v <= spine else (v - spine - 1) % spine + 1)
 
-    edges = tuple(
-        (parents[v - 1], v, float(low) if low == high else rng.uniform(low, high))
-        for v in range(1, n + 1)
-    )
+    lengths = [float(low)] * n if low == high else [rng.uniform(low, high) for _ in range(n)]
+    try:
+        length_sum(lengths, n)  # the loaders' limit, on the lengths drawn
+    except NonpositiveLengthError as exc:
+        raise BadParamsError(f"length_range: {exc}") from None
+    edges = tuple(zip(parents, range(1, n + 1), lengths))
     demands = tuple((v, pmf.mass) for v in range(1, n + 1))
     return InstanceDocument(
         name=params.name if params.name is not None else default_name(params),
@@ -450,60 +442,3 @@ def generate_document(params: GeneratorParams) -> InstanceDocument:
         edges=edges,
         demands=demands,
     )
-
-
-def generate(params: GeneratorParams) -> tuple[TreeInstance, DemandModel]:
-    """Generate and validate one instance pair."""
-    return document_to_instance(generate_document(params))
-
-
-# -- golden corpus ------------------------------------------------------------
-
-# Worked examples: two tiny path instances per capacity regime plus the
-# single-edge deterministic and uniform cases used throughout the tests.
-WORKED_PARAMS = (
-    GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=1, name="E1"),
-    GeneratorParams(n=1, capacity=2, topology="path", pmf="det:2", seed=1, name="E2"),
-    GeneratorParams(n=2, capacity=3, topology="path", pmf="det:2", seed=1, name="E3"),
-    GeneratorParams(n=1, capacity=2, topology="path", pmf="unif:1-2", seed=1, name="E4"),
-)
-
-GENERATED_PARAMS = (
-    GeneratorParams(n=3, capacity=2, topology="path", pmf="det:1", seed=101),
-    GeneratorParams(n=4, capacity=3, topology="path", pmf="unif:1-2", seed=102),
-    GeneratorParams(n=6, capacity=4, topology="path", pmf="two:1,0.75,4", seed=103, length_range=(0.5, 2.0)),
-    GeneratorParams(n=3, capacity=2, topology="star", pmf="unif:1-2", seed=104),
-    GeneratorParams(n=5, capacity=3, topology="star", pmf="det:2", seed=105, length_range=(0.5, 2.0)),
-    GeneratorParams(n=6, capacity=5, topology="star", pmf="two:2,0.5,5", seed=106),
-    GeneratorParams(n=4, capacity=2, topology="random-attachment", pmf="unif:1-2", seed=107),
-    GeneratorParams(n=5, capacity=4, topology="random-attachment", pmf="unif:2-4", seed=108, length_range=(0.5, 2.0)),
-    GeneratorParams(n=6, capacity=3, topology="random-attachment", pmf="det:3", seed=109),
-    GeneratorParams(n=7, capacity=5, topology="random-attachment", pmf="two:1,0.25,5", seed=110, length_range=(0.5, 2.0)),
-    GeneratorParams(n=4, capacity=3, topology="caterpillar", pmf="unif:1-3", seed=111),
-    GeneratorParams(n=5, capacity=2, topology="caterpillar", pmf="det:1", seed=112, length_range=(0.5, 2.0)),
-    GeneratorParams(n=6, capacity=4, topology="caterpillar", pmf="two:2,0.625,3", seed=113),
-    GeneratorParams(n=7, capacity=6, topology="caterpillar", pmf="unif:1-2", seed=114, length_range=(0.5, 2.0)),
-    GeneratorParams(n=5, capacity=5, topology="path", pmf="unif:4-5", seed=115),
-    GeneratorParams(n=7, capacity=4, topology="star", pmf="det:4", seed=116),
-    GeneratorParams(n=3, capacity=6, topology="random-attachment", pmf="unif:5-6", seed=117, length_range=(0.5, 2.0)),
-    GeneratorParams(n=3, capacity=3, topology="caterpillar", pmf="two:1,0.5,3", seed=118),
-    GeneratorParams(n=7, capacity=2, topology="path", pmf="two:1,0.5,2", seed=119, length_range=(0.5, 2.0)),
-    GeneratorParams(n=4, capacity=6, topology="star", pmf="unif:1-3", seed=120),
-)
-
-
-def corpus_documents() -> list[InstanceDocument]:
-    """All bundled corpus documents (worked examples first)."""
-    return [generate_document(p) for p in (*WORKED_PARAMS, *GENERATED_PARAMS)]
-
-
-def write_corpus(directory: str | Path) -> list[Path]:
-    """Write the corpus into ``directory`` as one file per instance."""
-    base = Path(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for doc in corpus_documents():
-        path = base / f"{doc.name}.json"
-        write_texts((path, serialize_document(doc)))
-        paths.append(path)
-    return paths

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .bounds import edge_crossings
+from .bounds import capacity_scale, edge_crossings
 # The benchmark tracer (perfbench/tracing.py) wraps oracle.clairvoyant_edge_lb by name.
 from .bounds import clairvoyant_edge_lb  # noqa: F401
 from .demand import DemandModel, DemandPMF, enumerate_joint
@@ -206,6 +206,10 @@ def _expected_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
         needed[v] = most[v] > capacity or needed[parent[v]]
 
     coefficients = _shortfall_coefficients(capacity) if any(needed) else []
+    # 2*len*E[D + (-D) mod Q] can pass the largest float where the term,
+    # 2*len*E[ceil(D/Q)], cannot: scale the expectation and Q alike.
+    scale = capacity_scale(capacity)
+    scaled_capacity = capacity * scale
     transforms: dict[int, list[complex]] = {}  # per distinct pmf object
     below: list[list[complex] | None] = [None] * tree.vertex_count
     mean = [0.0] * tree.vertex_count
@@ -222,7 +226,7 @@ def _expected_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
             mean[v] += pmf.mean
             if most[v] > capacity:
                 shortfall = (capacity - 1) / 2.0 + sum(map(mul, phi, coefficients)).real
-                term = term * (mean[v] + shortfall) / capacity
+                term = term * ((mean[v] + shortfall) * scale) / scaled_capacity
             p = parent[v]
             if p:  # the edge above a needed one is needed too
                 below[p] = phi if below[p] is None else list(map(mul, below[p], phi))

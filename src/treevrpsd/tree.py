@@ -135,21 +135,6 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
     if len(order) < n:  # the unreached vertices hang off a cycle
         raise CycleOrForestError("parent pointers contain a cycle")
 
-    # A trace pays 2S for the depth-first walk and at most four depot
-    # distances, each at most S, per customer, so (2 + 4n)*S bounds every
-    # trace, walk and expected cost.  The limit keeps 4(n + 1)*S, a little
-    # more, a float, so that rounding cannot overflow either.
-    limit = sys.float_info.max / (4 * (n + 1))
-    try:
-        total = math.fsum(length)
-    except OverflowError:
-        total = math.inf
-    if total > limit:
-        raise NonpositiveLengthError(
-            f"edge lengths sum past {limit!r}: at n = {n} a walk can cost up to "
-            "(2 + 4n) times the sum, which must stay a finite float"
-        )
-
     return TreeInstance(
         vertex_count=n + 1,
         parent=tuple(parent),
@@ -158,8 +143,31 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
         preorder=tuple(order),
         depot_dist=tuple(dist),
         depth=tuple(depth),
-        total_edge_length=total,
+        total_edge_length=length_sum(length, n),
     )
+
+
+def length_sum(lengths: Iterable[float], n: int) -> float:
+    """S, the ``math.fsum`` of the edge lengths of a tree with ``n``
+    customers; raise ``NonpositiveLengthError`` when its walks could
+    overflow a float.
+
+    A trace pays 2S for the depth-first walk and at most four depot
+    distances, each at most S, per customer, so (2 + 4n)*S bounds every
+    trace, walk and expected cost.  The limit keeps 4(n + 1)*S, a little
+    more, a float, so that rounding cannot overflow either.
+    """
+    limit = sys.float_info.max / (4 * (n + 1))
+    try:
+        total = math.fsum(lengths)
+    except OverflowError:
+        total = math.inf
+    if total > limit:
+        raise NonpositiveLengthError(
+            f"edge lengths sum past {limit!r}: at n = {n} a walk can cost up to "
+            "(2 + 4n) times the sum, which must stay a finite float"
+        )
+    return total
 
 
 def _checked_edge(p, c, ln, n: int, parent: list[int]) -> float:

@@ -23,6 +23,7 @@ from treevrpsd import (
     CycleOrForestError,
     DemandModel,
     DemandPMF,
+    GeneratorParams,
     InstanceDocument,
     InstanceSyntaxError,
     NonpositiveLengthError,
@@ -32,9 +33,11 @@ from treevrpsd import (
     build_tree,
     check_preorder,
     clairvoyant_edge_lb,
+    generate_document,
     make_pmf,
     path_distance,
 )
+from treevrpsd.instance_io import document_to_instance
 
 BREAKPOINT_LINE = re.compile(r"^BREAKPOINT (\d+) (\w+)$", re.MULTILINE)
 
@@ -224,6 +227,11 @@ def brute_optimal_partition_cost(
 
 
 # -- random builders ----------------------------------------------------------
+
+def generate(params: GeneratorParams) -> tuple[TreeInstance, DemandModel]:
+    """Generate one document and build its validated (tree, model) pair."""
+    return document_to_instance(generate_document(params))
+
 
 def random_edges(rng: random.Random, n: int) -> list[tuple[int, int, float]]:
     """Random-attachment tree on customers 1..n with half-integer lengths."""

@@ -616,11 +616,12 @@ def test_report_lists_a_name_that_is_not_utf8_as_failed(tmp_path, capsys, corpus
     assert [row["instance"] for row in rows] == ["E1", "E1"]
 
 
-def _long_edged_document(path, lengths):
-    """A path of ``len(lengths)`` customers, Q = 2, each demand 1 or 2."""
+def _long_edged_document(path, lengths, capacity=2, pmf='{"1": 0.5, "2": 0.5}'):
+    """A path of ``len(lengths)`` customers, each with demand ``pmf`` (by
+    default 1 or 2, with Q = 2)."""
     edges = ", ".join(f"[{v - 1}, {v}, {length!r}]" for v, length in enumerate(lengths, 1))
-    demands = ", ".join(f'{{"node": {v}, "pmf": {{"1": 0.5, "2": 0.5}}}}' for v in range(1, len(lengths) + 1))
-    path.write_text(f'{{"name": "long", "capacity": 2, "edges": [{edges}], "demands": [{demands}]}}',
+    demands = ", ".join(f'{{"node": {v}, "pmf": {pmf}}}' for v in range(1, len(lengths) + 1))
+    path.write_text(f'{{"name": "long", "capacity": {capacity}, "edges": [{edges}], "demands": [{demands}]}}',
                     encoding="utf-8")
 
 
@@ -662,22 +663,85 @@ def test_report_lists_lengths_whose_costs_could_overflow_as_failed(tmp_path, cap
 
 
 def test_lengths_at_the_overflow_limit_load_and_every_cost_is_finite(tmp_path, capsys):
-    path = tmp_path / "long.json"
     half = sys.float_info.max / 24  # two edges summing to the limit at n = 2
-    _long_edged_document(path, (half, half))
+    # With demand 100 at Q = 100 a radial term d(0, i) * E[D_i], and the edge
+    # bound's 2 * len * E[D], pass the largest float; the bounds do not.
+    documents = {"long": (2, '{"1": 0.5, "2": 0.5}'), "demanding": (100, '{"100": 1.0}')}
     outputs = []
-    for command in (
-        ("bounds",),
-        ("evaluate", "--policy", "split", "--format", "csv"),
-        ("evaluate", "--policy", "unsplit", "--format", "csv"),
-        # a deficit at both stops: unsplit's costliest walk
-        ("simulate", "--policy", "unsplit", "--demands", "2,2", "--load", "1"),
-        ("simulate", "--policy", "split", "--demands", "2,2", "--load", "1"),
-    ):
+    for name, (capacity, pmf) in documents.items():
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / f"{name}.json"
+        _long_edged_document(path, (half, half), capacity, pmf)
+        for command in (
+            ("bounds",),
+            ("evaluate", "--policy", "split", "--format", "csv"),
+            ("evaluate", "--policy", "unsplit", "--format", "csv"),
+            ("evaluate", "--policy", "split", "--mode", "mc", "--samples", "20"),
+            ("evaluate", "--policy", "unsplit", "--mode", "mc", "--samples", "20"),
+            # a deficit at both stops: unsplit's costliest walk
+            ("simulate", "--policy", "unsplit", "--demands", "2,2", "--load", "1"),
+            ("simulate", "--policy", "split", "--demands", "2,2", "--load", "1"),
+        ):
+            code, stdout, stderr = run_cli(capsys, command[0], "--instance", str(path), *command[1:])
+            assert (code, stderr) == (0, "")
+            outputs.append(stdout)
+        out_csv = tmp_path / f"{name}.csv"
+        code, _, stderr = run_cli(capsys, "report", "--corpus-dir", str(path.parent), "--out-csv", str(out_csv))
+        assert (code, stderr) == (0, "")
+        outputs.append(out_csv.read_text(encoding="utf-8"))
+    assert "inf" not in "".join(outputs) and "nan" not in "".join(outputs)
+
+
+def test_monte_carlo_squares_long_deviations_without_overflow(tmp_path, capsys):
+    # A deviation past about 1.3e154 overflowed its square with a traceback.
+    path = tmp_path / "long.json"
+    _long_edged_document(path, (1e160, 1e160))
+    for policy in ("split", "unsplit"):
+        code, stdout, stderr = run_cli(
+            capsys, "evaluate", "--instance", str(path), "--policy", policy,
+            "--mode", "mc", "--samples", "20",
+        )
+        assert (code, stderr) == (0, "")
+        estimate = json.loads(stdout)["estimate"]
+        assert 4e160 <= estimate["mean"] <= 2e161  # every cost lies in [2S, (2 + 4n)S]
+        assert 1e158 < estimate["stderr"] < 1e161
+
+
+def test_radial_bound_at_a_capacity_near_the_largest_float(tmp_path, capsys):
+    # 2^-bit_length(Q) would be subnormal here; the scale stops at 2^-1022.
+    capacity = 2**1023
+    path = tmp_path / "huge.json"
+    _long_edged_document(path, (sys.float_info.max / 24,) * 2, capacity, f'{{"{capacity}": 1.0}}')
+    outputs = []
+    for command in (("bounds",), *(("evaluate", "--policy", p, "--format", "csv") for p in ("split", "unsplit"))):
         code, stdout, stderr = run_cli(capsys, command[0], "--instance", str(path), *command[1:])
         assert (code, stderr) == (0, "")
         outputs.append(stdout)
     assert "inf" not in "".join(outputs) and "nan" not in "".join(outputs)
+    # every demand is Q, so R = 2 * sum_i d(0, i) = 6 * (largest / 24)
+    assert outputs[0].splitlines()[1] == f"bertsimas {6 * (sys.float_info.max / 24)!r}"
+
+
+def test_gen_refuses_lengths_that_every_loader_refuses(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    out.write_text("old\n", encoding="utf-8")
+    length = "1" + "0" * 307  # two edges of 1e307 sum past the limit at n = 2
+    code, stdout, stderr = run_cli(capsys, "gen", "--n", "2", "--capacity", "2", "--pmf", "det:1",
+                                   "--length-range", length, length, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: length_range: " + _overflow_message(2)[len("error: edges: "):]
+    assert out.read_text(encoding="utf-8") == "old\n"
+
+
+def test_gen_writes_lengths_at_the_limit_and_they_load(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    length = f"{sys.float_info.max / 24:.0f}"  # as digits; reads back exactly
+    code, _, _ = run_cli(capsys, "gen", "--n", "2", "--capacity", "2", "--pmf", "det:1",
+                         "--length-range", length, length, "--out", str(out))
+    assert code == 0
+    code, stdout, stderr = run_cli(capsys, "bounds", "--instance", str(out))
+    assert (code, stderr) == (0, "")
+    assert stdout.splitlines()[0] == f"tour_floor {sys.float_info.max / 6!r}"
 
 
 @pytest.mark.parametrize("edges, node, pmf, message", [

@@ -21,7 +21,6 @@ from treevrpsd import (
     Realization,
     TooLargeError,
     enumerate_joint,
-    generate,
     joint_support_size,
     make_pmf,
     point_model,
@@ -32,7 +31,7 @@ from treevrpsd import demand
 from treevrpsd.demand import NORMALIZATION_TOL
 from treevrpsd.instance_io import parse_pmf_spec
 
-from helpers import expectation, linear_scan_realization
+from helpers import expectation, generate, linear_scan_realization
 
 
 def test_make_pmf_sorts_and_accumulates_duplicates():

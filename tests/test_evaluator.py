@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -16,7 +17,7 @@ from treevrpsd import (
     enumerate_joint,
     evaluate,
     exact_expected_cost,
-    generate,
+    expected_clairvoyant_lb,
     make_pmf,
     monte_carlo_cost,
     point_model,
@@ -29,6 +30,7 @@ from treevrpsd.instance_io import TOPOLOGIES
 from treevrpsd.policy import POLICIES
 
 from helpers import (
+    generate,
     independent_expected_cost,
     pmf_dicts,
     random_edges,
@@ -284,3 +286,39 @@ def test_sharpened_split_bound_is_reached(capacity):
     model = point_model((capacity,), capacity)
     ratio = exact_expected_cost(tree, model, "split") / bound_set(tree, model).combined_lb
     assert math.isclose(ratio, 2.0 - 1.0 / capacity, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 7, 10])
+def test_sharpened_unsplit_bound_is_approached_not_reached(capacity):
+    # A star of n unit leaves, each demanding Q: the ratio is
+    # 3 - 2/Q - (Q - 1)/(Q*n), below 3 - 2/Q for every n once Q >= 2.
+    for n in (1, 2, 3, 5, 10, 50):
+        tree = build_tree([(0, v, 1.0) for v in range(1, n + 1)], capacity)
+        model = point_model((capacity,) * n, capacity)
+        ratio = exact_expected_cost(tree, model, "unsplit") / bound_set(tree, model).combined_lb
+        assert math.isclose(ratio, 3.0 - 2.0 / capacity - (capacity - 1) / (capacity * n), rel_tol=1e-12)
+        assert ratio < 3.0 - 2.0 / capacity or capacity == 1
+
+
+@pytest.mark.parametrize("capacity, entries", [
+    (100, [(100, 1.0)]), (2, [(1, 0.5), (2, 0.5)]), (10, [(k, 0.1) for k in range(1, 11)]),
+])
+def test_costs_and_bounds_scale_exactly_with_the_lengths(capacity, entries):
+    # Multiplying every length by 2^k multiplies every cost and bound by 2^k
+    # bit for bit, up to the length limit, so no step may overflow on the way:
+    # at Q = 100 and demand 100 the long tree's d(0, i) * E[D_i] passes the
+    # largest float, and its Monte Carlo deviations square past it.
+    k = 1018
+    pmf = make_pmf(entries, capacity)
+    model = DemandModel(pmfs=(pmf, pmf), capacity=capacity)
+    short = build_tree([(0, 1, 1.0), (1, 2, 1.0)], capacity)
+    long = build_tree([(0, 1, 2.0**k), (1, 2, 2.0**k)], capacity)
+
+    def values(tree):
+        out = [*dataclasses.astuple(bound_set(tree, model)), expected_clairvoyant_lb(tree, model)]
+        for policy in POLICIES:
+            estimate = monte_carlo_cost(tree, model, policy, 20, 5)
+            out += [exact_expected_cost(tree, model, policy), estimate.mean, estimate.stderr]
+        return out
+
+    assert values(long) == [math.ldexp(x, k) for x in values(short)]

@@ -21,28 +21,18 @@ from treevrpsd import (
     OutOfRangeError,
     SchemaError,
     build_tree,
-    generate,
     generate_document,
     make_pmf,
     parse_document,
     parse_instance,
     parse_pmf_spec,
-    point_model,
     serialize_document,
-    serialize_instance,
-    write_corpus,
 )
-from treevrpsd.instance_io import (
-    GENERATED_PARAMS,
-    TOPOLOGIES,
-    WORKED_PARAMS,
-    corpus_documents,
-    default_name,
-    document_from_instance,
-    document_to_instance,
-)
+from treevrpsd import cli
+from treevrpsd.instance_io import TOPOLOGIES, default_name, document_to_instance
 
-from helpers import itemwise_build_tree, itemwise_parse_document, json_dumps_serialize, outcome
+from conftest import CORPUS_DIR
+from helpers import generate, itemwise_build_tree, itemwise_parse_document, json_dumps_serialize, outcome
 
 E1_TEXT = """
 {
@@ -57,6 +47,20 @@ E1_TEXT = """
 """
 
 
+def corpus_gen_lines() -> list[list[str]]:
+    """The ``gen`` flags of each committed document, from ``corpus/gen.txt``;
+    each line ends in ``--out corpus/<name>.json``."""
+    return [line.split() for line in (CORPUS_DIR / "gen.txt").read_text(encoding="utf-8").splitlines()]
+
+
+def corpus_documents() -> list:
+    """The committed corpus documents, in ``corpus/gen.txt`` order."""
+    return [
+        parse_document((CORPUS_DIR / Path(args[-1]).name).read_text(encoding="utf-8"))
+        for args in corpus_gen_lines()
+    ]
+
+
 def test_parse_e1_document():
     tree, model = parse_instance(E1_TEXT)
     assert tree.n_customers == 2
@@ -66,20 +70,13 @@ def test_parse_e1_document():
 
 
 def test_serialize_then_parse_round_trips():
-    tree, model = parse_instance(E1_TEXT)
-    text = serialize_instance(tree, model, "E1")
-    doc = parse_document(text)
-    assert doc == document_from_instance(tree, model, "E1")
-    tree2, model2 = document_to_instance(doc)
-    assert tree2 == tree
-    assert model2 == model
+    doc = parse_document(E1_TEXT)
+    text = serialize_document(doc)
+    again = parse_document(text)
+    assert again == doc
+    assert document_to_instance(again) == document_to_instance(doc)
     # canonical text is a fixed point
-    assert serialize_document(doc) == text
-    # E1 has two customers and capacity 2
-    for other in (point_model((1,), 2), point_model((1, 1), 3)):
-        with pytest.raises(BadParamsError) as info:
-            document_from_instance(tree, other, "x")
-        assert str(info.value) == "tree and demand model disagree on customers or capacity"
+    assert serialize_document(again) == text
 
 
 def test_serialize_orders_edges_and_pmf_keys():
@@ -528,29 +525,42 @@ def test_generator_lengths_and_determinism():
 
 def test_generator_validation():
     with pytest.raises(BadParamsError):
-        generate(GeneratorParams(n=-1, capacity=2, topology="path", pmf="det:1", seed=0))
+        generate_document(GeneratorParams(n=-1, capacity=2, topology="path", pmf="det:1", seed=0))
     with pytest.raises(BadParamsError):
-        generate(GeneratorParams(n=2, capacity=2, topology="ring", pmf="det:1", seed=0))
+        generate_document(GeneratorParams(n=2, capacity=2, topology="ring", pmf="det:1", seed=0))
     with pytest.raises(BadParamsError):
-        generate(GeneratorParams(n=2, capacity=0, topology="path", pmf="det:1", seed=0))
+        generate_document(GeneratorParams(n=2, capacity=0, topology="path", pmf="det:1", seed=0))
     with pytest.raises(BadParamsError):
-        generate(
+        generate_document(
             GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
                             length_range=(0.0, 1.0))
         )
     with pytest.raises(BadParamsError):
-        generate(
+        generate_document(
             GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
                             length_range=(2.0, 1.0))
         )
     with pytest.raises(BadParamsError):
-        generate(GeneratorParams(n=2, capacity=2, topology="path", pmf="det:3", seed=0))
+        generate_document(GeneratorParams(n=2, capacity=2, topology="path", pmf="det:3", seed=0))
     with pytest.raises(BadParamsError) as info:
-        generate(
+        generate_document(
             GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
                             length_range=("a", 1.0))
         )
     assert str(info.value) == "length_range must hold two reals, got ('a', 1.0)"
+
+
+def test_generator_checks_the_lengths_it_drew_against_the_loaders_limit():
+    # n * high passes the limit at n = 2 (the largest float over 12): seed 4
+    # draws two lengths whose sum stays under it, seed 0 two whose sum does not.
+    largest = sys.float_info.max
+    params = GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=4,
+                             length_range=(largest / 48, largest / 16))
+    tree, _ = generate(params)
+    assert tree.total_edge_length <= largest / 12
+    with pytest.raises(BadParamsError) as info:
+        generate_document(dataclasses.replace(params, seed=0))
+    assert str(info.value).startswith(f"length_range: edge lengths sum past {largest / 12!r}: at n = 2 ")
 
 
 def test_default_name_and_override():
@@ -591,24 +601,25 @@ def test_generated_instances_are_valid():
         assert model.capacity == params.capacity
 
 
-def test_corpus_has_expected_shape():
+def test_corpus_has_expected_shape(corpus_dir):
+    lines = corpus_gen_lines()
+    assert len(lines) == 24
+    assert sorted(args[-1] for args in lines) == sorted(f"corpus/{p.name}" for p in corpus_dir.glob("*.json"))
     docs = corpus_documents()
-    assert len(docs) == len(WORKED_PARAMS) + len(GENERATED_PARAMS) == 24
     names = [doc.name for doc in docs]
     assert len(set(names)) == 24
     assert names[:4] == ["E1", "E2", "E3", "E4"]
-    for doc in docs:
+    for args, doc in zip(lines, docs):
+        assert args[-2:] == ["--out", f"corpus/{doc.name}.json"]
         document_to_instance(doc)  # every bundled instance validates
 
 
 def test_committed_corpus_matches_regeneration(tmp_path, corpus_dir):
-    paths = write_corpus(tmp_path)
-    committed = sorted(p.name for p in corpus_dir.glob("*.json"))
-    assert sorted(p.name for p in paths) == committed
-    for path in paths:
-        fresh = path.read_text(encoding="utf-8")
-        stored = (corpus_dir / path.name).read_text(encoding="utf-8")
-        assert fresh == stored, f"{path.name} drifted from the generator"
+    for args in corpus_gen_lines():
+        out = tmp_path / Path(args[-1]).name
+        assert cli.main(["gen", *args[:-1], str(out)]) == 0
+        assert out.read_bytes() == (corpus_dir / out.name).read_bytes(), f"{out.name} drifted from its gen line"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in corpus_dir.glob("*.json"))
 
 
 def test_generated_corpus_instances_stay_exact_enumerable():
@@ -618,10 +629,3 @@ def test_generated_corpus_instances_stay_exact_enumerable():
         tree, model = document_to_instance(doc)
         for policy in ("split", "unsplit"):
             assert exact_expected_cost(tree, model, policy) > 0.0
-
-
-def test_write_corpus_over_longer_files_matches_the_committed_corpus(tmp_path, corpus_dir):
-    for path in corpus_dir.glob("*.json"):
-        (tmp_path / path.name).write_bytes(b"x" * (path.stat().st_size + 4096))
-    for path in write_corpus(tmp_path):
-        assert path.read_bytes() == (corpus_dir / path.name).read_bytes(), path.name

@@ -22,7 +22,7 @@ from treevrpsd import (
 )
 from treevrpsd import demand
 from treevrpsd.bounds import clairvoyant_edge_lb, tour_floor
-from treevrpsd.instance_io import GeneratorParams, generate
+from treevrpsd.instance_io import GeneratorParams
 from treevrpsd.oracle import PARTITION_MAX_CUSTOMERS
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     convolution_edge_lb,
     enumerated_edge_lb,
     expectation,
+    generate,
     random_edges,
     random_model,
     random_pmf_dict,

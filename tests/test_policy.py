@@ -18,7 +18,6 @@ from treevrpsd import (
     build_tree,
     dfs_order,
     format_trace,
-    generate,
     parse_instance,
     replication_rng,
     run_split,
@@ -34,6 +33,7 @@ from helpers import (
     breakpoint_kinds,
     breakpoint_probability_exact,
     brute_distances,
+    generate,
     naive_policy_cost,
     naive_trace_text,
     path_distance_legs,
