@@ -4,8 +4,9 @@ A depot-rooted tree, one vehicle of capacity Q, and customers with
 random integer demands revealed on arrival.  The library builds fixed
 depth-first visiting orders, executes the split and unsplit restocking
 policies with a uniformly random initial load, computes lower and
-upper bound formulas, evaluates expected costs exactly or by Monte
-Carlo, and cross-checks everything against brute-force oracles.
+upper bound formulas and expected costs, exactly or by Monte Carlo,
+and cross-checks everything against brute-force oracles.  The command
+line (:mod:`treevrpsd.cli`) puts a cost beside its bounds as a ratio.
 """
 
 from .bounds import (
@@ -47,8 +48,6 @@ from .errors import (
 )
 from .evaluator import (
     Estimate,
-    EvalReport,
-    evaluate,
     exact_expected_cost,
     monte_carlo_cost,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "DemandModel",
     "DemandPMF",
     "Estimate",
-    "EvalReport",
     "GeneratorParams",
     "InconsistentRealizationError",
     "InstanceDocument",
@@ -119,7 +117,6 @@ __all__ = [
     "clairvoyant_edge_lb",
     "dfs_order",
     "enumerate_joint",
-    "evaluate",
     "exact_expected_cost",
     "expected_clairvoyant_lb",
     "format_trace",

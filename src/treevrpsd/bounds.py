@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .demand import DemandModel
-from .errors import InconsistentRealizationError
+from .errors import InconsistentRealizationError, describe_int
 from .policy import RunTrace
 from .tree import TreeInstance
 
@@ -55,9 +55,24 @@ def capacity_scale(capacity: int) -> float:
     return math.ldexp(1.0, -min(capacity.bit_length(), 1022))
 
 
+def check_model(tree: TreeInstance, model: DemandModel) -> None:
+    """Refuse a demand model built for another tree: one pmf per customer,
+    and the tree's capacity."""
+    if model.n_customers != tree.n_customers:
+        raise InconsistentRealizationError(
+            f"{model.n_customers} demand pmfs for {tree.n_customers} customers"
+        )
+    if model.capacity != tree.capacity:
+        raise InconsistentRealizationError(
+            f"demand model capacity {describe_int(model.capacity)} "
+            f"for a tree of capacity {describe_int(tree.capacity)}"
+        )
+
+
 def bertsimas_lb(tree: TreeInstance, model: DemandModel) -> float:
     """Demand-weighted radial bound (2/Q) * sum_i d(0,i) * E[demand_i], with
     :func:`capacity_scale` (a term can reach Q*S, while R is at most 2nS)."""
+    check_model(tree, model)
     scale = capacity_scale(tree.capacity)
     return (2.0 / (tree.capacity * scale)) * math.fsum(
         tree.depot_dist[i] * (pmf.mean * scale)
@@ -84,9 +99,11 @@ def trace_certificate(trace: RunTrace, tree: TreeInstance) -> float:
     Each tour dispatches at most Q units and is at least twice as long
     as its farthest served customer's depot distance, so the sum never
     exceeds the trace's total length.  Tours that serve no one add
-    nothing.
+    nothing.  A distance times Q units can pass the largest float, so
+    the units and Q are scaled by :func:`capacity_scale`.
     """
     depot_dist = tree.depot_dist
+    scale = capacity_scale(tree.capacity)
     terms = []
     farthest = 0.0
     units = 0
@@ -96,10 +113,10 @@ def trace_certificate(trace: RunTrace, tree: TreeInstance) -> float:
             units += ev[2]
         elif ev[0] == "move" and ev[2] == 0:
             if units:
-                terms.append(farthest * units)
+                terms.append(farthest * (units * scale))
             farthest = 0.0
             units = 0
-    return (2.0 / tree.capacity) * math.fsum(terms)
+    return (2.0 / (tree.capacity * scale)) * math.fsum(terms)
 
 
 def edge_crossings(tree: TreeInstance, demands: Sequence[int]) -> list[int]:

@@ -1,4 +1,4 @@
-"""Exact and Monte Carlo expected policy cost, plus ratio reports.
+"""Exact and Monte Carlo expected policy cost.
 
 Exact mode is a closed form in O(n).  Under both policies the stock on
 arrival at the next stop is ``((U - D - 1) mod Q) + 1``, a shift of the
@@ -22,19 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BoundSet, bound_set
+from .bounds import BoundSet, bound_set, check_model
 from .demand import DemandModel, replication_rng, sample_realization
 # The benchmark tracer (perfbench/tracing.py) wraps evaluator.enumerate_joint by name.
 from .demand import enumerate_joint  # noqa: F401
 from .errors import BadParamsError
 from .policy import DEFICIT_TRIPS, POLICIES, SPLIT, WalkGeometry
 from .tree import TreeInstance, dfs_order
-
-EXACT = "exact"
-MONTE_CARLO = "monte_carlo"
-
-# expected_cost <= formula_ub is asserted with this relative slack.
-UB_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,21 +41,6 @@ class Estimate:
     ci95_high: float
     samples: int
     seed: int
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """One (instance, policy) evaluation with bounds and ratios."""
-
-    instance_id: str
-    policy: str
-    mode: str
-    expected_cost: float
-    bounds: BoundSet
-    ratio_vs_lb: float
-    formula_ub: float
-    ub_respected: bool
-    estimate: Estimate | None = None
 
 
 def _check_policy(policy: str) -> None:
@@ -87,6 +66,7 @@ def exact_expected_cost(
     nothing is enumerated, so there is no size limit.
     """
     _check_policy(policy)
+    check_model(tree, model)
     if bounds is None:
         bounds = bound_set(tree, model)
     inner, at_last = DEFICIT_TRIPS[policy]
@@ -114,6 +94,7 @@ def monte_carlo_cost(
     master_seed, r)``; the estimate is a pure function of the arguments.
     """
     _check_policy(policy)
+    check_model(tree, model)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         raise BadParamsError(f"samples must be an integer >= 2, got {samples!r}")
     walk = WalkGeometry(tree, dfs_order(tree))
@@ -139,49 +120,3 @@ def monte_carlo_cost(
         samples=samples,
         seed=master_seed,
     )
-
-
-def evaluate(
-    tree: TreeInstance,
-    model: DemandModel,
-    policy: str,
-    mode: str = EXACT,
-    *,
-    samples: int = 10_000,
-    master_seed: int = 0,
-    instance_id: str = "",
-    bounds: BoundSet | None = None,
-) -> EvalReport:
-    """Assemble an :class:`EvalReport` for one (instance, policy) pair.
-
-    ``mode`` is ``"exact"`` or ``"monte_carlo"`` (``"mc"`` accepted).
-    The ratio convention for a depot-only instance (combined_lb = 0) is
-    1.0.  ``bounds`` is built unless given, so callers evaluating both
-    policies of an instance build it once.
-    """
-    _check_policy(policy)
-    if mode not in (EXACT, MONTE_CARLO, "mc"):
-        raise BadParamsError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
-    if bounds is None:
-        bounds = bound_set(tree, model)
-    estimate = None
-    if mode == EXACT:
-        expected = exact_expected_cost(tree, model, policy, bounds=bounds)
-    else:
-        mode = MONTE_CARLO
-        estimate = monte_carlo_cost(tree, model, policy, samples, master_seed)
-        expected = estimate.mean
-    formula_ub = bounds.split_ub if policy == SPLIT else bounds.unsplit_ub
-    ratio = expected / bounds.combined_lb if bounds.combined_lb > 0 else 1.0
-    return EvalReport(
-        instance_id=instance_id,
-        policy=policy,
-        mode=mode,
-        expected_cost=expected,
-        bounds=bounds,
-        ratio_vs_lb=ratio,
-        formula_ub=formula_ub,
-        ub_respected=expected <= formula_ub + UB_REL_TOL * formula_ub,
-        estimate=estimate,
-    )
-

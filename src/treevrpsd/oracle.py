@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .bounds import capacity_scale, edge_crossings
+from .bounds import capacity_scale, check_model, edge_crossings
 # The benchmark tracer (perfbench/tracing.py) wraps oracle.clairvoyant_edge_lb by name.
 from .bounds import clairvoyant_edge_lb  # noqa: F401
 from .demand import DemandModel, DemandPMF, enumerate_joint
-from .errors import BadParamsError, InconsistentRealizationError, TooLargeError
+from .errors import BadParamsError, TooLargeError
 from .tree import TreeInstance
 
 PARTITION_MAX_CUSTOMERS = 10
@@ -188,9 +188,6 @@ def _expected_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
     recursion is needed and only the transforms of the open root path
     are alive at once.
     """
-    n = tree.n_customers
-    if model.n_customers != n:
-        raise InconsistentRealizationError(f"{model.n_customers} demand pmfs for {n} customers")
     capacity = tree.capacity
     parent = tree.parent
     upward = tree.preorder[::-1]  # every vertex after all of its descendants
@@ -249,6 +246,7 @@ def expected_clairvoyant_lb(
     bounds unsplit policies only, and raises ``TooLargeError`` when the
     joint support exceeds the enumeration limit.
     """
+    check_model(tree, model)
     if mode == EDGE:
         return _expected_edge_lb(tree, model)
     if mode != PARTITION:

@@ -1,6 +1,7 @@
-"""SHA-256 pins of the report, plot and sampled outputs, in the standard library only.
+"""SHA-256 pins of the report, plot, sampled and evaluate outputs, in the
+standard library only.
 
-``tests/test_cli.py`` checks the three pins under pytest.  Any other
+``tests/test_cli.py`` checks the four pins under pytest.  Any other
 interpreter can check them without pytest, from the root of the
 repository:
 
@@ -33,6 +34,10 @@ CORPUS_PLOT_SHA256 = "e36dc11d2dc7a7271fc3df27f4027e92e68b8eddd3a5e9057cbc9da7af
 # SHA-256 over the Monte Carlo, trace, bounds and gen bytes, pinned like the
 # report's (CPython 3.10 to 3.13, Linux x86-64).
 SAMPLED_OUTPUTS_SHA256 = "b74dc7899f1e4ea11a6cc63dd8df8bc78718c34807a0d9deabdf9da2fb5eea7a"
+
+# SHA-256 over evaluate's exact JSON, exact CSV and Monte Carlo CSV bytes,
+# pinned like the report's (CPython 3.10 to 3.13, Linux x86-64).
+EVALUATE_OUTPUTS_SHA256 = "bbd498291405994248f13810de6c4dc993dd2a5d7ffb5d6947c3271581cef5ad"
 
 
 def run_quietly(*argv: str) -> str:
@@ -81,6 +86,25 @@ def sampled_outputs_digest(corpus_dir: Path, workdir: Path) -> str:
     return digest.hexdigest()
 
 
+def evaluate_outputs_digest(corpus_dir: Path, workdir: Path) -> str:
+    """One digest over ``evaluate`` for both policies in three forms (exact
+    JSON, exact CSV, Monte Carlo CSV), on every document in ``corpus_dir``
+    and then on a generated depot-only document."""
+    empty = workdir / "empty.json"
+    run_quietly("gen", "--n", "0", "--capacity", "3", "--pmf", "det:1", "--out", str(empty))
+    digest = hashlib.sha256()
+    for path in [*sorted(corpus_dir.glob("*.json")), empty]:
+        for policy in ("split", "unsplit"):
+            for form in (
+                ("--mode", "exact"),
+                ("--mode", "exact", "--format", "csv"),
+                ("--mode", "mc", "--samples", "50", "--seed", "7", "--format", "csv"),
+            ):
+                out = run_quietly("evaluate", "--instance", str(path), "--policy", policy, *form)
+                digest.update(out.encode("utf-8"))
+    return digest.hexdigest()
+
+
 def check_pins() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         report, plot = report_digests(CORPUS_DIR, Path(tmp))
@@ -88,6 +112,7 @@ def check_pins() -> int:
             "CORPUS_REPORT_SHA256": (report, CORPUS_REPORT_SHA256),
             "CORPUS_PLOT_SHA256": (plot, CORPUS_PLOT_SHA256),
             "SAMPLED_OUTPUTS_SHA256": (sampled_outputs_digest(CORPUS_DIR, Path(tmp)), SAMPLED_OUTPUTS_SHA256),
+            "EVALUATE_OUTPUTS_SHA256": (evaluate_outputs_digest(CORPUS_DIR, Path(tmp)), EVALUATE_OUTPUTS_SHA256),
         }
     version = sys.version.split()[0]
     for name, (digest, pinned) in got.items():

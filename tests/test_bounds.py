@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -104,6 +105,18 @@ def test_trace_certificate_matches_tour_oracle():
             for run in (run_split, run_unsplit):
                 trace = run(tree, order, Realization(demands, load))
                 assert trace_certificate(trace, tree) == tour_certificate(trace, tree)
+
+
+def test_trace_certificate_stays_finite_at_the_length_limit():
+    # A distance times Q units passes the largest float here; the certificate,
+    # at most the trace's length, must not.
+    half = sys.float_info.max / 24  # two edges summing to the limit at n = 2
+    tree = build_tree([(0, 1, half), (1, 2, half)], capacity=100)
+    for run in (run_split, run_unsplit):
+        trace = run(tree, dfs_order(tree), Realization((100, 100), 100))
+        certificate = trace_certificate(trace, tree)
+        assert math.isfinite(trace.total_length)
+        assert math.isfinite(certificate) and certificate <= trace.total_length
 
 
 def test_clairvoyant_edge_lb_frozen_values():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -93,6 +95,9 @@ def test_unknown_flag_exits_2(tmp_path, corpus_dir):
     with pytest.raises(SystemExit) as info:
         main(["gen", "--n", "2", "--capacity", "2", "--pmf", "det:1",
               "--out", str(tmp_path / "x.json"), "--bogus"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["evaluate", "--instance", str(corpus_dir / "E1.json"), "--policy", "split", "--mode", "guess"])
     assert info.value.code == 2
     # report is exact only: it has no Monte Carlo --samples or --seed
     out = tmp_path / "r.csv"
@@ -336,6 +341,43 @@ def test_evaluate_mc_csv_contains_estimate_free_columns(capsys, corpus_dir):
     assert rows[1][2] == "monte_carlo"
 
 
+def test_evaluate_mc_json_prints_the_estimate_mean_as_the_cost(capsys, corpus_dir):
+    for mode in ("mc", "monte_carlo"):
+        code, stdout, _ = run_cli(
+            capsys, "evaluate", "--instance", str(corpus_dir / "E1.json"),
+            "--policy", "unsplit", "--mode", mode, "--samples", "64", "--seed", "3",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["mode"] == "monte_carlo"
+        assert payload["expected_cost"] == payload["estimate"]["mean"]
+        assert payload["formula_ub"] == 10.0
+
+
+def test_depot_only_instance_has_ratio_one(tmp_path, capsys):
+    # With no customers every cost and bound is 0; the ratio convention is 1.0.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "empty.json"
+    assert run_cli(capsys, "gen", "--n", "0", "--capacity", "2", "--pmf", "det:1", "--out", str(path))[0] == 0
+    rows = []
+    for policy in ("split", "unsplit"):
+        for mode in (("--mode", "exact"), ("--mode", "mc", "--samples", "5")):
+            code, stdout, _ = run_cli(capsys, "evaluate", "--instance", str(path), "--policy", policy, *mode)
+            assert code == 0
+            rows.append(json.loads(stdout))
+    out_csv = tmp_path / "report.csv"
+    assert run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))[0] == 0
+    report = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert len(report) == 2
+    for row in report:
+        assert (row["expected_cost"], row["combined_lb"]) == ("0.0", "0.0")
+        assert (row["ratio_vs_lb"], row["ub_respected"]) == ("1.0", "true")
+    for row in rows:
+        assert (row["expected_cost"], row["combined_lb"]) == (0.0, 0.0)
+        assert (row["ratio_vs_lb"], row["ub_respected"]) == (1.0, True)
+
+
 def test_evaluate_mc_single_sample_exits_2(capsys, corpus_dir):
     code, _, stderr = run_cli(
         capsys, "evaluate", "--instance", str(corpus_dir / "E1.json"),
@@ -388,6 +430,11 @@ def test_report_bytes_on_corpus_are_pinned(tmp_path, corpus_dir):
 def test_sampled_trace_bounds_and_gen_bytes_are_pinned(tmp_path, corpus_dir):
     digest = pinned_outputs.sampled_outputs_digest(corpus_dir, tmp_path)
     assert digest == pinned_outputs.SAMPLED_OUTPUTS_SHA256
+
+
+def test_evaluate_bytes_are_pinned(tmp_path, corpus_dir):
+    digest = pinned_outputs.evaluate_outputs_digest(corpus_dir, tmp_path)
+    assert digest == pinned_outputs.EVALUATE_OUTPUTS_SHA256
 
 
 def test_report_over_worked_examples(tmp_path, capsys, corpus_dir):
@@ -1035,6 +1082,34 @@ def test_benchmark_tracer_finds_every_traced_name():
     ]
     assert missing == []
     tracing.Tracer()
+
+
+def test_benchmark_tracer_times_both_costs(tmp_path, corpus_dir):
+    # The tracer patches evaluator.exact_expected_cost and
+    # evaluator.monte_carlo_cost; the CLI must call them through the module,
+    # or the two layers would read 0 in the benchmark's traced mode.
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    instance = corpus / "E3.json"
+    instance.write_bytes((corpus_dir / "E3.json").read_bytes())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["report", "--corpus-dir", str(corpus), "--out-csv", str(tmp_path / "r.csv")]) == 0
+            assert main(["evaluate", "--instance", str(instance), "--policy", "split",
+                         "--mode", "mc", "--samples", "20"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.self_time["evaluator.exact_expected_cost"] > 0
+    assert tracer.self_time["evaluator.monte_carlo_cost"] > 0
 
 
 def test_every_tracer_only_import_is_traced():

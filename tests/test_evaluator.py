@@ -10,12 +10,13 @@ from treevrpsd import (
     BadParamsError,
     DemandModel,
     GeneratorParams,
+    InconsistentRealizationError,
     Realization,
+    bertsimas_lb,
     bound_set,
     build_tree,
     dfs_order,
     enumerate_joint,
-    evaluate,
     exact_expected_cost,
     expected_clairvoyant_lb,
     make_pmf,
@@ -25,7 +26,7 @@ from treevrpsd import (
     parse_instance,
     run_unsplit,
 )
-from treevrpsd.evaluator import UB_REL_TOL
+from treevrpsd.cli import UB_REL_TOL
 from treevrpsd.instance_io import TOPOLOGIES
 from treevrpsd.policy import POLICIES
 
@@ -181,45 +182,39 @@ def test_monte_carlo_requires_two_samples(e1):
         monte_carlo_cost(tree, model, "split", samples=1, master_seed=0)
 
 
-def test_evaluate_exact_report_fields(e1):
-    tree, model = e1
-    report = evaluate(tree, model, "split", "exact", instance_id="E1")
-    assert report.instance_id == "E1"
-    assert report.policy == "split"
-    assert report.mode == "exact"
-    assert report.expected_cost == 5.0
-    assert report.bounds == bound_set(tree, model)
-    assert report.formula_ub == 7.0
-    assert report.ratio_vs_lb == 1.25
-    assert report.ub_respected is True
-    assert report.estimate is None
-
-
-def test_evaluate_mc_alias_and_estimate(e1):
-    tree, model = e1
-    report = evaluate(tree, model, "unsplit", "mc", samples=64, master_seed=3)
-    assert report.mode == "monte_carlo"
-    assert report.estimate is not None
-    assert report.expected_cost == report.estimate.mean
-    assert report.formula_ub == 10.0
-
-
-def test_evaluate_rejects_unknown_policy_and_mode(e1):
+def test_costs_reject_an_unknown_policy(e1):
     tree, model = e1
     with pytest.raises(BadParamsError):
-        evaluate(tree, model, "both", "exact")
+        exact_expected_cost(tree, model, "both")
     with pytest.raises(BadParamsError):
-        evaluate(tree, model, "split", "guess")
+        monte_carlo_cost(tree, model, "both", samples=64, master_seed=3)
 
 
-def test_evaluate_empty_instance_ratio_convention():
-    tree = build_tree([], capacity=2)
-    model = DemandModel(pmfs=(), capacity=2)
-    report = evaluate(tree, model, "split", "exact")
-    assert report.expected_cost == 0.0
-    assert report.bounds.combined_lb == 0.0
-    assert report.ratio_vs_lb == 1.0
-    assert report.ub_respected is True
+@pytest.mark.parametrize("model, message", [
+    # one pmf short: the radial bound used to drop the third customer and
+    # the costs died with an IndexError
+    (DemandModel(pmfs=(make_pmf([(1, 0.5), (3, 0.5)], 4),) * 2, capacity=4),
+     "2 demand pmfs for 3 customers"),
+    # a model for Q = 2: Monte Carlo drew loads in 1..2 but restocked to 4
+    (DemandModel(pmfs=(make_pmf([(1, 0.5), (2, 0.5)], 2),) * 3, capacity=2),
+     "demand model capacity 2 for a tree of capacity 4"),
+], ids=["count", "capacity"])
+@pytest.mark.parametrize("compute", [
+    bertsimas_lb,
+    bound_set,
+    lambda tree, model: exact_expected_cost(tree, model, "split"),
+    lambda tree, model: exact_expected_cost(
+        tree, model, "unsplit", bounds=bound_set(tree, point_model((1, 1, 1), 4)),
+    ),
+    lambda tree, model: monte_carlo_cost(tree, model, "split", samples=8, master_seed=0),
+    lambda tree, model: expected_clairvoyant_lb(tree, model, mode="edge"),
+    lambda tree, model: expected_clairvoyant_lb(tree, model, mode="partition"),
+], ids=["bertsimas_lb", "bound_set", "exact", "exact-given-bounds", "monte_carlo", "edge", "partition"])
+def test_a_model_for_another_tree_is_refused(compute, model, message):
+    tree = build_tree([(0, 1, 1.0), (1, 2, 1.0), (0, 3, 2.0)], capacity=4)
+    with pytest.raises(InconsistentRealizationError) as info:
+        compute(tree, model)
+    assert str(info.value) == message
 
 
 def test_formula_ub_holds_with_declared_tolerance():
