@@ -28,24 +28,7 @@ from .demand import (
     replication_rng,
     sample_realization,
 )
-from .errors import (
-    BadCapacityError,
-    BadParamsError,
-    CycleOrForestError,
-    InconsistentRealizationError,
-    InstanceSyntaxError,
-    InvalidOrderError,
-    MassAtZeroError,
-    NegativeMassError,
-    NonpositiveLengthError,
-    NotNormalizedError,
-    OutOfRangeError,
-    SchemaError,
-    TooLargeError,
-    TreeVrpsdError,
-    UnknownVertexError,
-    ValidationError,
-)
+from .errors import TooLargeError, TreeVrpsdError, ValidationError
 from .evaluator import (
     Estimate,
     exact_expected_cost,
@@ -83,31 +66,18 @@ from .tree import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadCapacityError",
-    "BadParamsError",
     "BoundSet",
-    "CycleOrForestError",
     "DemandModel",
     "DemandPMF",
     "Estimate",
     "GeneratorParams",
-    "InconsistentRealizationError",
     "InstanceDocument",
-    "InstanceSyntaxError",
-    "InvalidOrderError",
-    "MassAtZeroError",
-    "NegativeMassError",
-    "NonpositiveLengthError",
-    "NotNormalizedError",
-    "OutOfRangeError",
     "PartitionSolution",
     "Realization",
     "RunTrace",
-    "SchemaError",
     "TooLargeError",
     "TreeInstance",
     "TreeVrpsdError",
-    "UnknownVertexError",
     "ValidationError",
     "WalkGeometry",
     "bertsimas_lb",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .demand import DemandModel
-from .errors import InconsistentRealizationError, describe_int
+from .errors import ValidationError, describe_int
 from .policy import RunTrace
 from .tree import TreeInstance
 
@@ -59,11 +59,11 @@ def check_model(tree: TreeInstance, model: DemandModel) -> None:
     """Refuse a demand model built for another tree: one pmf per customer,
     and the tree's capacity."""
     if model.n_customers != tree.n_customers:
-        raise InconsistentRealizationError(
+        raise ValidationError(
             f"{model.n_customers} demand pmfs for {tree.n_customers} customers"
         )
     if model.capacity != tree.capacity:
-        raise InconsistentRealizationError(
+        raise ValidationError(
             f"demand model capacity {describe_int(model.capacity)} "
             f"for a tree of capacity {describe_int(tree.capacity)}"
         )
@@ -138,9 +138,9 @@ def clairvoyant_edge_lb(tree: TreeInstance, demands: Sequence[int]) -> float:
     """
     n = tree.n_customers
     if len(demands) != n:
-        raise InconsistentRealizationError(f"{len(demands)} demands for {n} customers")
+        raise ValidationError(f"{len(demands)} demands for {n} customers")
     for v, q in enumerate(demands, 1):
         if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-            raise InconsistentRealizationError(f"demand {q!r} of customer {v} is not a nonnegative integer")
+            raise ValidationError(f"demand {q!r} of customer {v} is not a nonnegative integer")
     crossings = edge_crossings(tree, demands)
     return math.fsum(2.0 * crossings[v] * tree.edge_length[v] for v in range(1, tree.vertex_count))

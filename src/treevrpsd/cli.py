@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .bounds import BoundSet, bound_set
 from .demand import Realization, replication_rng, sample_realization
-from .errors import BadParamsError, TooLargeError, ValidationError
+from .errors import TooLargeError, ValidationError
 # The costs are called as evaluator.<name>: the benchmark tracer
 # (perfbench/tracing.py) patches them there, so a name bound here at import
 # would never be timed.
@@ -96,7 +96,10 @@ def _csv_text(header: Sequence[str], lines: Iterable[Sequence]) -> str:
 
 
 def _load_instance(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # the offset is the file's: read_text decodes all bytes at once
+        raise ValidationError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
     doc = parse_document(text)
     tree, model = document_to_instance(doc)
     return doc, tree, model
@@ -142,7 +145,7 @@ def _parse_digits(text: str, what: str, read=digits_int):
     try:
         return read(text)
     except ValueError:
-        raise BadParamsError(f"{what} is {_shown(text)}") from None
+        raise ValidationError(f"{what} is {_shown(text)}") from None
 
 
 def _shown(text: str) -> str:
@@ -156,7 +159,7 @@ def _int_flag(text: str, flag: str) -> int:
 def _seed_flag(text: str) -> int:
     seed = _int_flag(text, "--seed")
     if len(text) > SEED_DIGITS:
-        raise BadParamsError(
+        raise ValidationError(
             f"--seed must be an integer of at most {SEED_DIGITS} digits: value is {_shown(text)}"
         )
     return seed
@@ -176,7 +179,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     load = None if args.load is None else _int_flag(args.load, "--load")
     if args.demands is not None:
         if load is None:
-            raise BadParamsError("--load is required when --demands is given")
+            raise ValidationError("--load is required when --demands is given")
         realization = Realization(_parse_demand_list(args.demands), load)
     else:
         rng = replication_rng(seed, 0)
@@ -273,7 +276,7 @@ def _histogram(rows: Sequence[dict]) -> str:
 def _check_out_dir(flag: str, path: Path) -> None:
     # A missing output directory is a usage error, refused before any work.
     if not path.parent.is_dir():
-        raise BadParamsError(f"{flag} {str(path)!r}: {str(path.parent)!r} is not a directory")
+        raise ValidationError(f"{flag} {str(path)!r}: {str(path.parent)!r} is not a directory")
 
 
 def _same_file(a: Path, b: Path) -> bool:
@@ -288,13 +291,13 @@ def _same_file(a: Path, b: Path) -> bool:
 def _cmd_report(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus_dir)
     if not corpus_dir.is_dir():
-        raise BadParamsError(f"--corpus-dir {args.corpus_dir!r} is not a directory")
+        raise ValidationError(f"--corpus-dir {args.corpus_dir!r} is not a directory")
     out_csv = Path(args.out_csv)
     out_plot = Path(args.out_plot) if args.out_plot else out_csv.with_suffix(".plot.csv")
     _check_out_dir("--out-csv", out_csv)
     _check_out_dir("--out-plot", out_plot)
     if _same_file(out_plot, out_csv):
-        raise BadParamsError(
+        raise ValidationError(
             f"--out-plot {args.out_plot!r} names the same file as --out-csv {args.out_csv!r}"
         )
 

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    BadCapacityError,
-    MassAtZeroError,
-    NegativeMassError,
-    NotNormalizedError,
-    OutOfRangeError,
-    TooLargeError,
-    describe_int,
-    describe_large_int,
-)
+from .errors import TooLargeError, ValidationError, describe_int, describe_large_int
 
 NORMALIZATION_TOL = 1e-12
 
@@ -60,10 +51,6 @@ class DemandPMF:
 
     mass: tuple[tuple[int, float], ...]
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.mass)
-
     @cached_property
     def mean(self) -> float:
         """Exact mean of the demand."""
@@ -95,28 +82,28 @@ def make_pmf(entries: Iterable[tuple[int, float]], capacity: int) -> DemandPMF:
     ``NORMALIZATION_TOL``.
     """
     if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-        raise BadCapacityError(f"capacity must be an integer >= 1, got {capacity!r}")
+        raise ValidationError(f"capacity must be an integer >= 1, got {capacity!r}")
     acc: dict[int, list[float]] = {}
     for k, p in entries:
         if not isinstance(k, int) or isinstance(k, bool):
-            raise OutOfRangeError(f"demand value must be an integer, got {k!r}")
+            raise ValidationError(f"demand value must be an integer, got {k!r}")
         try:
             finite = not isinstance(p, bool) and isinstance(p, (int, float)) and math.isfinite(p)
         except OverflowError:
-            raise NegativeMassError(
+            raise ValidationError(
                 f"probability for demand {describe_int(k)} is {describe_large_int(p)}"
             ) from None
         if not finite:
-            raise NegativeMassError(
+            raise ValidationError(
                 f"probability for demand {describe_int(k)} must be a finite real, got {p!r}"
             )
         if p < 0:
-            raise NegativeMassError(f"negative probability {p!r} at demand {describe_int(k)}")
+            raise ValidationError(f"negative probability {p!r} at demand {describe_int(k)}")
         if k < 0 or k > capacity:
-            raise OutOfRangeError(f"demand {describe_int(k)} outside 0..{describe_int(capacity)}")
+            raise ValidationError(f"demand {describe_int(k)} outside 0..{describe_int(capacity)}")
         if k == 0:
             if p > 0:
-                raise MassAtZeroError("positive probability at demand 0 is not allowed")
+                raise ValidationError("positive probability at demand 0 is not allowed")
             continue
         acc.setdefault(k, []).append(float(p))
 
@@ -127,7 +114,7 @@ def make_pmf(entries: Iterable[tuple[int, float]], capacity: int) -> DemandPMF:
     )
     total_mass = math.fsum(p for _, p in items)
     if abs(total_mass - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalizedError(f"pmf mass sums to {total_mass!r}, expected 1 within {NORMALIZATION_TOL}")
+        raise ValidationError(f"pmf mass sums to {total_mass!r}, expected 1 within {NORMALIZATION_TOL}")
     return DemandPMF(mass=items)
 
 
@@ -140,11 +127,11 @@ class DemandModel:
 
     def __post_init__(self) -> None:
         if not isinstance(self.capacity, int) or isinstance(self.capacity, bool) or self.capacity < 1:
-            raise BadCapacityError(f"capacity must be an integer >= 1, got {self.capacity!r}")
+            raise ValidationError(f"capacity must be an integer >= 1, got {self.capacity!r}")
         # once per distinct pmf object, in order of first use
         for pmf in dict(zip(map(id, self.pmfs), self.pmfs)).values():
             if pmf.mass and pmf.max_value() > self.capacity:
-                raise OutOfRangeError(
+                raise ValidationError(
                     f"customer {self.pmfs.index(pmf) + 1} pmf supports demand "
                     f"{pmf.max_value()} > capacity {self.capacity}"
                 )

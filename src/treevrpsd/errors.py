@@ -1,9 +1,10 @@
-"""Exception taxonomy shared by all treevrpsd modules.
+"""The three exception classes shared by all treevrpsd modules.
 
 Every error raised by the library derives from :class:`TreeVrpsdError`,
-so callers can catch one base class at an API boundary.  Validation
-errors additionally derive from :class:`ValueError` to cooperate with
-generic input-checking code.
+so callers can catch one base class at an API boundary.  Rejected input
+raises :class:`ValidationError`, also a :class:`ValueError`; its message
+names the input and the check it failed.  :class:`TooLargeError` is for
+valid input over a fixed cap of exhaustive search.
 """
 
 
@@ -33,70 +34,10 @@ class TreeVrpsdError(Exception):
 
 
 class ValidationError(TreeVrpsdError, ValueError):
-    """Base class for rejected inputs."""
+    """Rejected input: a malformed document, tree, pmf, realization or
+    parameter."""
 
-
-# -- tree construction and queries --------------------------------------
-
-class CycleOrForestError(ValidationError):
-    """Edge list does not describe one tree rooted at vertex 0."""
-
-
-class NonpositiveLengthError(ValidationError):
-    """An edge length is zero, negative, or not finite, or the lengths sum
-    past the limit that keeps every walk cost a finite float."""
-
-
-class BadCapacityError(ValidationError):
-    """Vehicle capacity is not a positive integer."""
-
-
-class UnknownVertexError(ValidationError):
-    """Vertex index outside 0..n."""
-
-
-class InvalidOrderError(ValidationError):
-    """Visiting order is not a depth-first preorder of the tree."""
-
-
-# -- demand distributions ------------------------------------------------
-
-class MassAtZeroError(ValidationError):
-    """Positive probability at demand 0 (zero-demand customers excluded)."""
-
-
-class OutOfRangeError(ValidationError):
-    """Demand value outside {0..Q} in a pmf, or support exceeding capacity."""
-
-
-class NotNormalizedError(ValidationError):
-    """Pmf masses do not sum to 1 within tolerance."""
-
-
-class NegativeMassError(ValidationError):
-    """A pmf entry carries negative probability."""
-
-
-class InconsistentRealizationError(ValidationError):
-    """Realization does not fit the instance (length or value bounds)."""
-
-
-# -- resource limits and parameters --------------------------------------
 
 class TooLargeError(TreeVrpsdError):
     """Exhaustive search is over a fixed cap: ``demand.ENUM_LIMIT`` joint
     vectors, or the partition oracle's customer count."""
-
-
-class BadParamsError(ValidationError):
-    """Generator or evaluator parameters are invalid."""
-
-
-# -- instance documents ---------------------------------------------------
-
-class InstanceSyntaxError(ValidationError):
-    """Instance document is not well-formed JSON."""
-
-
-class SchemaError(ValidationError):
-    """Instance document is valid JSON but violates the schema."""

@@ -26,7 +26,7 @@ from .bounds import BoundSet, bound_set, check_model
 from .demand import DemandModel, replication_rng, sample_realization
 # The benchmark tracer (perfbench/tracing.py) wraps evaluator.enumerate_joint by name.
 from .demand import enumerate_joint  # noqa: F401
-from .errors import BadParamsError
+from .errors import ValidationError
 from .policy import DEFICIT_TRIPS, POLICIES, SPLIT, WalkGeometry
 from .tree import TreeInstance, dfs_order
 
@@ -45,7 +45,7 @@ class Estimate:
 
 def _check_policy(policy: str) -> None:
     if policy not in POLICIES:
-        raise BadParamsError(f"policy must be one of {POLICIES}, got {policy!r}")
+        raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
 def exact_expected_cost(
@@ -96,7 +96,7 @@ def monte_carlo_cost(
     _check_policy(policy)
     check_model(tree, model)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        raise BadParamsError(f"samples must be an integer >= 2, got {samples!r}")
+        raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
     walk = WalkGeometry(tree, dfs_order(tree))
     cost = walk.split_cost if policy == SPLIT else walk.unsplit_cost
     costs = []

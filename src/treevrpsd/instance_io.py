@@ -28,14 +28,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .demand import DemandModel, DemandPMF, make_pmf
-from .errors import (
-    BadParamsError,
-    InstanceSyntaxError,
-    NonpositiveLengthError,
-    SchemaError,
-    ValidationError,
-    describe_large_int,
-)
+from .errors import ValidationError, describe_large_int
 from .tree import TreeInstance, build_tree, describe_non_permutation, length_sum
 
 TOPOLOGIES = ("path", "star", "random-attachment", "caterpillar")
@@ -78,25 +71,25 @@ def digits_float(text: str) -> float:
 
 def _require_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+        raise ValidationError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise SchemaError(f"{where}: {describe_large_int(value)}") from None
+        raise ValidationError(f"{where}: {describe_large_int(value)}") from None
 
 
-def _check_name(name: str, error: type[ValidationError]) -> None:
+def _check_name(name: str) -> None:
     """Refuse a name that cannot be written as UTF-8: it holds a lone surrogate."""
     try:
         name.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise error(f"name: a lone surrogate at character {exc.start} cannot be encoded as UTF-8") from None
+        raise ValidationError(f"name: a lone surrogate at character {exc.start} cannot be encoded as UTF-8") from None
 
 
 _DEMAND_KEYS = frozenset({"node", "pmf"})
@@ -107,7 +100,7 @@ _DEMAND_KEYS = frozenset({"node", "pmf"})
 def _checked_edge(item, k: int) -> tuple[int, int, float]:
     where = f"edges[{k}]"
     if not isinstance(item, list) or len(item) != 3:
-        raise SchemaError(f"{where}: expected [parent, child, length]")
+        raise ValidationError(f"{where}: expected [parent, child, length]")
     return (
         _require_int(item[0], f"{where}.parent"),
         _require_int(item[1], f"{where}.child"),
@@ -118,11 +111,11 @@ def _checked_edge(item, k: int) -> tuple[int, int, float]:
 def _checked_demand(item, k: int) -> tuple[int, tuple[tuple[int, float], ...]]:
     where = f"demands[{k}]"
     if not isinstance(item, dict) or item.keys() != _DEMAND_KEYS:
-        raise SchemaError(f"{where}: expected an object with keys node, pmf")
+        raise ValidationError(f"{where}: expected an object with keys node, pmf")
     node = _require_int(item["node"], f"{where}.node")
     pmf_raw = item["pmf"]
     if not isinstance(pmf_raw, dict) or not pmf_raw:
-        raise SchemaError(f"{where}.pmf: expected a non-empty object")
+        raise ValidationError(f"{where}.pmf: expected a non-empty object")
     entries = []
     for key, prob in pmf_raw.items():
         # An optional "-" and ASCII digits: a negative key then meets
@@ -131,7 +124,7 @@ def _checked_demand(item, k: int) -> tuple[int, tuple[tuple[int, float], ...]]:
         try:
             value = digits_int(digits) if digits == key else -digits_int(digits)
         except ValueError:
-            raise SchemaError(f"{where}.pmf: key {key!r} is not an integer") from None
+            raise ValidationError(f"{where}.pmf: key {key!r} is not an integer") from None
         if type(prob) is not float:
             prob = _require_number(prob, f"{where}.pmf[{key!r}]")
         entries.append((value, prob))
@@ -147,9 +140,9 @@ def parse_document(text: str) -> InstanceDocument:
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: too many digits
-        raise InstanceSyntaxError(f"not valid JSON: {exc}") from None
+        raise ValidationError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise SchemaError(f"top level must be an object, got {type(raw).__name__}")
+        raise ValidationError(f"top level must be an object, got {type(raw).__name__}")
     expected = {"name", "capacity", "edges", "demands"}
     missing = expected - raw.keys()
     extra = raw.keys() - expected
@@ -159,16 +152,18 @@ def parse_document(text: str) -> InstanceDocument:
             parts.append(f"missing keys {sorted(missing)}")
         if extra:
             parts.append(f"unknown keys {sorted(extra)}")
-        raise SchemaError("; ".join(parts))
+        raise ValidationError("; ".join(parts))
     if not isinstance(raw["name"], str):
-        raise SchemaError(f"name: expected a string, got {raw['name']!r}")
-    _check_name(raw["name"], SchemaError)
+        raise ValidationError(f"name: expected a string, got {raw['name']!r}")
+    _check_name(raw["name"])
     capacity = _require_int(raw["capacity"], "capacity")
     _require_number(capacity, "capacity")  # names a capacity too large for a float
+    if capacity < 1:
+        raise ValidationError(f"capacity: expected an integer >= 1, got {capacity}")
 
     # json.loads yields exact types, so ``type(x) is int`` also excludes bool.
     if not isinstance(raw["edges"], list):
-        raise SchemaError("edges: expected an array")
+        raise ValidationError("edges: expected an array")
     edges = []
     for k, item in enumerate(raw["edges"]):
         if type(item) is list and len(item) == 3:
@@ -179,7 +174,7 @@ def parse_document(text: str) -> InstanceDocument:
         edges.append(_checked_edge(item, k))
 
     if not isinstance(raw["demands"], list):
-        raise SchemaError("demands: expected an array")
+        raise ValidationError("demands: expected an array")
     demands = []
     # Customers usually repeat one listing.  One that equals the previous
     # checked listing shares its entries: equal values give equal entries,
@@ -216,11 +211,11 @@ def document_to_instance(doc: InstanceDocument) -> tuple[TreeInstance, DemandMod
     try:
         tree = build_tree(doc.edges, doc.capacity)
     except ValidationError as exc:
-        raise type(exc)(f"edges: {exc}") from None
+        raise ValidationError(f"edges: {exc}") from None
     n = tree.n_customers
     nodes = [node for node, _ in doc.demands]
     if sorted(nodes) != list(range(1, n + 1)):
-        raise SchemaError(
+        raise ValidationError(
             f"demands must cover each customer 1..{n} exactly once: node {describe_non_permutation(nodes, n)}"
         )
     # Generated documents give every customer the same pmf: validate each
@@ -237,7 +232,7 @@ def document_to_instance(doc: InstanceDocument) -> tuple[TreeInstance, DemandMod
                 try:
                     pmf = pmf_by_entries[entries] = make_pmf(entries, doc.capacity)
                 except ValidationError as exc:
-                    raise type(exc)(f"demands[{idx}] (node {node}): {exc}") from None
+                    raise ValidationError(f"demands[{idx}] (node {node}): {exc}") from None
         pmfs[int(node) - 1] = pmf  # a hand-built document may say 2.0 or True
     return tree, DemandModel(pmfs=tuple(pmfs), capacity=doc.capacity)
 
@@ -330,7 +325,7 @@ def parse_pmf_spec(spec: str, capacity: int) -> DemandPMF:
     """Parse ``det:<k>``, ``unif:<lo>-<hi>``, or ``two:<k1>,<p1>,<k2>``.
 
     Family parameters must lie in {1..Q}; anything malformed or out of
-    range raises ``BadParamsError``.
+    range raises ``ValidationError``.
     """
     try:
         family, _, arg = spec.partition(":")
@@ -340,23 +335,22 @@ def parse_pmf_spec(spec: str, capacity: int) -> DemandPMF:
             lo_s, _, hi_s = arg.partition("-")
             lo, hi = digits_int(lo_s), digits_int(hi_s)
             if lo > hi:
-                raise BadParamsError(f"empty range {lo}-{hi}")
+                raise ValidationError(f"empty range {lo}-{hi}")
             weight = 1.0 / (hi - lo + 1)
             entries = [(k, weight) for k in range(lo, hi + 1)]
         elif family == "two":
             k1_s, p1_s, k2_s = arg.split(",")
             k1, p1, k2 = digits_int(k1_s), digits_float(p1_s), digits_int(k2_s)
             if not (0.0 <= p1 <= 1.0):
-                raise BadParamsError(f"probability {p1} outside [0,1]")
+                raise ValidationError(f"probability {p1} outside [0,1]")
             entries = [(k1, p1), (k2, 1.0 - p1)]
         else:
-            raise BadParamsError(f"unknown pmf family {family!r}")
-    except (ValueError, TypeError):
-        raise BadParamsError(f"malformed pmf spec {spec!r}") from None
-    try:
+            raise ValidationError(f"unknown pmf family {family!r}")
         return make_pmf(entries, capacity)
     except ValidationError as exc:
-        raise BadParamsError(f"pmf spec {spec!r}: {exc}") from None
+        raise ValidationError(f"pmf spec {spec!r}: {exc}") from None
+    except (ValueError, TypeError):
+        raise ValidationError(f"malformed pmf spec {spec!r}") from None
 
 
 # -- generation --------------------------------------------------------------
@@ -380,22 +374,22 @@ def default_name(params: GeneratorParams) -> str:
 
 def _check_params(params: GeneratorParams) -> None:
     if not isinstance(params.n, int) or isinstance(params.n, bool) or params.n < 0:
-        raise BadParamsError(f"n must be an integer >= 0, got {params.n!r}")
+        raise ValidationError(f"n must be an integer >= 0, got {params.n!r}")
     if params.topology not in TOPOLOGIES:
-        raise BadParamsError(f"topology must be one of {TOPOLOGIES}, got {params.topology!r}")
+        raise ValidationError(f"topology must be one of {TOPOLOGIES}, got {params.topology!r}")
     low, high = params.length_range
     if not (isinstance(low, (int, float)) and isinstance(high, (int, float))):
-        raise BadParamsError(f"length_range must hold two reals, got {params.length_range!r}")
+        raise ValidationError(f"length_range must hold two reals, got {params.length_range!r}")
     if not (math.isfinite(low) and math.isfinite(high)) or low <= 0 or low > high:
-        raise BadParamsError(f"length_range must satisfy 0 < low <= high, got {params.length_range!r}")
+        raise ValidationError(f"length_range must satisfy 0 < low <= high, got {params.length_range!r}")
     if not isinstance(params.capacity, int) or isinstance(params.capacity, bool) or params.capacity < 1:
-        raise BadParamsError(f"capacity must be an integer >= 1, got {params.capacity!r}")
+        raise ValidationError(f"capacity must be an integer >= 1, got {params.capacity!r}")
     try:
         float(params.capacity)
     except OverflowError:
-        raise BadParamsError(f"capacity: {describe_large_int(params.capacity)}") from None
+        raise ValidationError(f"capacity: {describe_large_int(params.capacity)}") from None
     if params.name is not None:
-        _check_name(params.name, BadParamsError)
+        _check_name(params.name)
 
 
 def generate_document(params: GeneratorParams) -> InstanceDocument:
@@ -408,7 +402,7 @@ def generate_document(params: GeneratorParams) -> InstanceDocument:
     legs round robin.  The rng draws, in order, the parent of each
     vertex (random-attachment only) and then its edge length (only
     when the range is non-degenerate).  Lengths drawn whose sum passes
-    ``build_tree``'s limit raise ``BadParamsError``, so every document
+    ``build_tree``'s limit raise ``ValidationError``, so every document
     generated loads.
     """
     _check_params(params)
@@ -432,8 +426,8 @@ def generate_document(params: GeneratorParams) -> InstanceDocument:
     lengths = [float(low)] * n if low == high else [rng.uniform(low, high) for _ in range(n)]
     try:
         length_sum(lengths, n)  # the loaders' limit, on the lengths drawn
-    except NonpositiveLengthError as exc:
-        raise BadParamsError(f"length_range: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"length_range: {exc}") from None
     edges = tuple(zip(parents, range(1, n + 1), lengths))
     demands = tuple((v, pmf.mass) for v in range(1, n + 1))
     return InstanceDocument(

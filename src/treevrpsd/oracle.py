@@ -32,7 +32,7 @@ from .bounds import capacity_scale, check_model, edge_crossings
 # The benchmark tracer (perfbench/tracing.py) wraps oracle.clairvoyant_edge_lb by name.
 from .bounds import clairvoyant_edge_lb  # noqa: F401
 from .demand import DemandModel, DemandPMF, enumerate_joint
-from .errors import BadParamsError, TooLargeError
+from .errors import TooLargeError, ValidationError
 from .tree import TreeInstance
 
 PARTITION_MAX_CUSTOMERS = 10
@@ -65,11 +65,11 @@ def optimal_unsplit_partition(tree: TreeInstance, demands: Sequence[int]) -> Par
             f"partition search supports at most {PARTITION_MAX_CUSTOMERS} customers, got {n}"
         )
     if len(demands) != n:
-        raise BadParamsError(f"{len(demands)} demands for {n} customers")
+        raise ValidationError(f"{len(demands)} demands for {n} customers")
     capacity = tree.capacity
     for v, q in enumerate(demands, 1):
         if not isinstance(q, int) or isinstance(q, bool) or not (1 <= q <= capacity):
-            raise BadParamsError(f"demand {q!r} of customer {v} outside 1..{capacity}")
+            raise ValidationError(f"demand {q!r} of customer {v} outside 1..{capacity}")
     if n == 0:
         return PartitionSolution(groups=(), cost=0.0)
 
@@ -244,18 +244,14 @@ def expected_clairvoyant_lb(
     the enumeration limit does not apply.  ``partition`` averages the
     optimal unsplit partition cost over every joint demand vector,
     bounds unsplit policies only, and raises ``TooLargeError`` when the
-    joint support exceeds the enumeration limit.
+    joint support exceeds the enumeration limit or the customers exceed
+    ``PARTITION_MAX_CUSTOMERS`` (the search refuses the first vector).
     """
     check_model(tree, model)
     if mode == EDGE:
         return _expected_edge_lb(tree, model)
     if mode != PARTITION:
-        raise BadParamsError(f"mode must be 'edge' or 'partition', got {mode!r}")
-    if tree.n_customers > PARTITION_MAX_CUSTOMERS:
-        raise TooLargeError(
-            f"partition mode supports at most {PARTITION_MAX_CUSTOMERS} customers, "
-            f"got {tree.n_customers}"
-        )
+        raise ValidationError(f"mode must be 'edge' or 'partition', got {mode!r}")
     return math.fsum(
         prob * optimal_unsplit_partition(tree, q).cost
         for q, prob in enumerate_joint(model)

@@ -47,7 +47,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .demand import Realization
-from .errors import InconsistentRealizationError, describe_int
+from .errors import ValidationError, describe_int
 from .tree import TreeInstance, VisitOrder, check_preorder
 # The benchmark tracer (perfbench/tracing.py) wraps policy.path_distance by name.
 from .tree import path_distance  # noqa: F401
@@ -105,15 +105,15 @@ def _check_realization(tree: TreeInstance, r: Realization) -> None:
     q = tree.capacity
     demands = r.demands
     if len(demands) != n:
-        raise InconsistentRealizationError(f"realization has {len(demands)} demands for {n} customers")
+        raise ValidationError(f"realization has {len(demands)} demands for {n} customers")
     # One exact-type pass; the per-item loop runs only to word an error.
     if not all(type(d) is int and 1 <= d <= q for d in demands):
         for idx, d in enumerate(demands, 1):
             if not isinstance(d, int) or isinstance(d, bool) or not (1 <= d <= q):
-                raise InconsistentRealizationError(f"demand {describe_int(d)} of customer {idx} outside 1..{q}")
+                raise ValidationError(f"demand {describe_int(d)} of customer {idx} outside 1..{q}")
     load = r.initial_load
     if not isinstance(load, int) or isinstance(load, bool) or not (1 <= load <= q):
-        raise InconsistentRealizationError(f"initial load {describe_int(load)} outside 1..{q}")
+        raise ValidationError(f"initial load {describe_int(load)} outside 1..{q}")
 
 
 def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: str) -> RunTrace:

@@ -24,15 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    BadCapacityError,
-    CycleOrForestError,
-    InvalidOrderError,
-    NonpositiveLengthError,
-    UnknownVertexError,
-    describe_int,
-    describe_large_int,
-)
+from .errors import ValidationError, describe_int, describe_large_int
 
 # A visiting order is a permutation of customers 1..n; the depot is
 # implicit at both ends of the walk.
@@ -85,18 +77,17 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
     """Validate an edge list and construct a :class:`TreeInstance`.
 
     ``edges`` holds (parent, child, length) triples over vertices named
-    densely 0..n with the depot at 0.  Raises ``CycleOrForestError`` if
-    the edges do not form a single tree rooted at 0,
-    ``NonpositiveLengthError`` for bad lengths or lengths whose walk
-    costs would overflow a float, and ``BadCapacityError``
-    for a capacity below 1 or too large for a float.
+    densely 0..n with the depot at 0.  Raises ``ValidationError`` if
+    the edges do not form a single tree rooted at 0, for bad lengths or
+    lengths whose walk costs would overflow a float, and for a capacity
+    below 1 or too large for a float.
     """
     if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-        raise BadCapacityError(f"capacity must be an integer >= 1, got {capacity!r}")
+        raise ValidationError(f"capacity must be an integer >= 1, got {capacity!r}")
     try:
         float(capacity)  # the bounds divide by Q
     except OverflowError:
-        raise BadCapacityError(f"capacity is {describe_large_int(capacity)}") from None
+        raise ValidationError(f"capacity is {describe_large_int(capacity)}") from None
 
     edge_list = list(edges)
     n = len(edge_list)
@@ -133,7 +124,7 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
         order.append(v)
         stack += kids[v]
     if len(order) < n:  # the unreached vertices hang off a cycle
-        raise CycleOrForestError("parent pointers contain a cycle")
+        raise ValidationError("parent pointers contain a cycle")
 
     return TreeInstance(
         vertex_count=n + 1,
@@ -149,8 +140,8 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
 
 def length_sum(lengths: Iterable[float], n: int) -> float:
     """S, the ``math.fsum`` of the edge lengths of a tree with ``n``
-    customers; raise ``NonpositiveLengthError`` when its walks could
-    overflow a float.
+    customers; raise ``ValidationError`` when its walks could overflow a
+    float.
 
     A trace pays 2S for the depth-first walk and at most four depot
     distances, each at most S, per customer, so (2 + 4n)*S bounds every
@@ -163,7 +154,7 @@ def length_sum(lengths: Iterable[float], n: int) -> float:
     except OverflowError:
         total = math.inf
     if total > limit:
-        raise NonpositiveLengthError(
+        raise ValidationError(
             f"edge lengths sum past {limit!r}: at n = {n} a walk can cost up to "
             "(2 + 4n) times the sum, which must stay a finite float"
         )
@@ -173,29 +164,29 @@ def length_sum(lengths: Iterable[float], n: int) -> float:
 def _checked_edge(p, c, ln, n: int, parent: list[int]) -> float:
     """Check one edge in full; return its length as a float or raise."""
     if not isinstance(p, int) or not isinstance(c, int) or isinstance(p, bool) or isinstance(c, bool):
-        raise CycleOrForestError(f"vertex names must be integers, got edge ({p!r}, {c!r})")
+        raise ValidationError(f"vertex names must be integers, got edge ({p!r}, {c!r})")
     if c == 0:
-        raise CycleOrForestError("the depot (vertex 0) cannot appear as a child")
+        raise ValidationError("the depot (vertex 0) cannot appear as a child")
     if not (0 <= p <= n) or not (1 <= c <= n):
-        raise CycleOrForestError(
+        raise ValidationError(
             f"edge ({describe_int(p)}, {describe_int(c)}) names a vertex outside 0..{n}; "
             "vertices must be dense"
         )
     if parent[c] >= 0:
-        raise CycleOrForestError(f"vertex {c} appears as a child more than once")
+        raise ValidationError(f"vertex {c} appears as a child more than once")
     if not isinstance(ln, bool) and isinstance(ln, (int, float)):
         try:
             value = float(ln)
         except OverflowError:
-            raise NonpositiveLengthError(f"edge ({p}, {c}) has length {describe_large_int(ln)}") from None
+            raise ValidationError(f"edge ({p}, {c}) has length {describe_large_int(ln)}") from None
         if 0.0 < value < math.inf:
             return value
-    raise NonpositiveLengthError(f"edge ({p}, {c}) has non-positive length {ln!r}")
+    raise ValidationError(f"edge ({p}, {c}) has non-positive length {ln!r}")
 
 
 def _check_vertex(tree: TreeInstance, v: int) -> None:
     if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < tree.vertex_count):
-        raise UnknownVertexError(f"vertex {v!r} outside 0..{tree.vertex_count - 1}")
+        raise ValidationError(f"vertex {v!r} outside 0..{tree.vertex_count - 1}")
 
 
 def lowest_common_ancestor(tree: TreeInstance, i: int, j: int) -> int:
@@ -221,7 +212,7 @@ def dfs_order(tree: TreeInstance) -> VisitOrder:
 
 
 def check_preorder(tree: TreeInstance, order: Sequence[int]) -> None:
-    """Raise ``InvalidOrderError`` unless ``order`` is a DFS preorder.
+    """Raise ``ValidationError`` unless ``order`` is a DFS preorder.
 
     A sequence is a preorder for some child ordering iff, scanning left
     to right with a stack of the currently open root path, each vertex's
@@ -234,7 +225,7 @@ def check_preorder(tree: TreeInstance, order: Sequence[int]) -> None:
         return
     n = tree.n_customers
     if sorted(seq) != list(range(1, n + 1)):
-        raise InvalidOrderError(
+        raise ValidationError(
             f"order is not a permutation of 1..{n}: vertex {describe_non_permutation(seq, n)}"
         )
     stack = [0]
@@ -243,7 +234,7 @@ def check_preorder(tree: TreeInstance, order: Sequence[int]) -> None:
         while stack and stack[-1] != p:
             stack.pop()
         if not stack:
-            raise InvalidOrderError(
+            raise ValidationError(
                 f"order is not a preorder of this tree: vertex {v} at position {pos} "
                 f"(n={n}) appears outside its parent's open subtree"
             )

@@ -19,17 +19,13 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from treevrpsd import (
-    BadCapacityError,
-    CycleOrForestError,
     DemandModel,
     DemandPMF,
     GeneratorParams,
     InstanceDocument,
-    InstanceSyntaxError,
-    NonpositiveLengthError,
     Realization,
-    SchemaError,
     TreeInstance,
+    ValidationError,
     build_tree,
     check_preorder,
     clairvoyant_edge_lb,
@@ -396,13 +392,13 @@ def outcome(fn, *args) -> tuple[str, str]:
 
 def _require_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+        raise ValidationError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
     return float(value)
 
 
@@ -412,9 +408,9 @@ def itemwise_parse_document(text: str) -> InstanceDocument:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceSyntaxError(f"not valid JSON: {exc}") from None
+        raise ValidationError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise SchemaError(f"top level must be an object, got {type(raw).__name__}")
+        raise ValidationError(f"top level must be an object, got {type(raw).__name__}")
     expected = {"name", "capacity", "edges", "demands"}
     missing = expected - raw.keys()
     extra = raw.keys() - expected
@@ -424,18 +420,20 @@ def itemwise_parse_document(text: str) -> InstanceDocument:
             parts.append(f"missing keys {sorted(missing)}")
         if extra:
             parts.append(f"unknown keys {sorted(extra)}")
-        raise SchemaError("; ".join(parts))
+        raise ValidationError("; ".join(parts))
     if not isinstance(raw["name"], str):
-        raise SchemaError(f"name: expected a string, got {raw['name']!r}")
+        raise ValidationError(f"name: expected a string, got {raw['name']!r}")
     capacity = _require_int(raw["capacity"], "capacity")
+    if capacity < 1:
+        raise ValidationError(f"capacity: expected an integer >= 1, got {capacity}")
 
     if not isinstance(raw["edges"], list):
-        raise SchemaError("edges: expected an array")
+        raise ValidationError("edges: expected an array")
     edges = []
     for k, item in enumerate(raw["edges"]):
         where = f"edges[{k}]"
         if not isinstance(item, list) or len(item) != 3:
-            raise SchemaError(f"{where}: expected [parent, child, length]")
+            raise ValidationError(f"{where}: expected [parent, child, length]")
         edges.append(
             (
                 _require_int(item[0], f"{where}.parent"),
@@ -445,24 +443,24 @@ def itemwise_parse_document(text: str) -> InstanceDocument:
         )
 
     if not isinstance(raw["demands"], list):
-        raise SchemaError("demands: expected an array")
+        raise ValidationError("demands: expected an array")
     demands = []
     for k, item in enumerate(raw["demands"]):
         where = f"demands[{k}]"
         if not isinstance(item, dict) or set(item.keys()) != {"node", "pmf"}:
-            raise SchemaError(f"{where}: expected an object with keys node, pmf")
+            raise ValidationError(f"{where}: expected an object with keys node, pmf")
         node = _require_int(item["node"], f"{where}.node")
         pmf_raw = item["pmf"]
         if not isinstance(pmf_raw, dict) or not pmf_raw:
-            raise SchemaError(f"{where}.pmf: expected a non-empty object")
+            raise ValidationError(f"{where}.pmf: expected a non-empty object")
         entries = []
         for key, prob in pmf_raw.items():
             if not re.fullmatch(r"-?[0-9]+", key):
-                raise SchemaError(f"{where}.pmf: key {key!r} is not an integer")
+                raise ValidationError(f"{where}.pmf: key {key!r} is not an integer")
             try:
                 value = int(key)
             except ValueError:  # past the int(str) digit limit
-                raise SchemaError(f"{where}.pmf: key {key!r} is not an integer") from None
+                raise ValidationError(f"{where}.pmf: key {key!r} is not an integer") from None
             entries.append((value, _require_number(prob, f"{where}.pmf[{key!r}]")))
         demands.append((node, tuple(sorted(entries))))
 
@@ -498,7 +496,7 @@ def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) 
     """Build a tree with full checks on every edge, depths by parent-chain
     walks, and the preorder by :func:`stack_walk_preorder`."""
     if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-        raise BadCapacityError(f"capacity must be an integer >= 1, got {capacity!r}")
+        raise ValidationError(f"capacity must be an integer >= 1, got {capacity!r}")
 
     edge_list = list(edges)
     n = len(edge_list)
@@ -508,18 +506,18 @@ def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) 
 
     for p, c, ln in edge_list:
         if not isinstance(p, int) or not isinstance(c, int) or isinstance(p, bool) or isinstance(c, bool):
-            raise CycleOrForestError(f"vertex names must be integers, got edge ({p!r}, {c!r})")
+            raise ValidationError(f"vertex names must be integers, got edge ({p!r}, {c!r})")
         if c == 0:
-            raise CycleOrForestError("the depot (vertex 0) cannot appear as a child")
+            raise ValidationError("the depot (vertex 0) cannot appear as a child")
         if not (0 <= p <= n) or not (1 <= c <= n):
-            raise CycleOrForestError(
+            raise ValidationError(
                 f"edge ({p}, {c}) names a vertex outside 0..{n}; vertices must be dense"
             )
         if c in seen_children:
-            raise CycleOrForestError(f"vertex {c} appears as a child more than once")
+            raise ValidationError(f"vertex {c} appears as a child more than once")
         seen_children.add(c)
         if isinstance(ln, bool) or not isinstance(ln, (int, float)) or not math.isfinite(ln) or ln <= 0:
-            raise NonpositiveLengthError(f"edge ({p}, {c}) has non-positive length {ln!r}")
+            raise ValidationError(f"edge ({p}, {c}) has non-positive length {ln!r}")
         parent[c] = p
         length[c] = float(ln)
 
@@ -535,7 +533,7 @@ def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) 
             chain.append(u)
             u = parent[u]
             if len(chain) > n:
-                raise CycleOrForestError("parent pointers contain a cycle")
+                raise ValidationError("parent pointers contain a cycle")
         for w in reversed(chain):
             depth[w] = depth[parent[w]] + 1
             dist[w] = dist[parent[w]] + length[w]

@@ -8,8 +8,8 @@ import pytest
 
 from treevrpsd import (
     DemandModel,
-    InconsistentRealizationError,
     Realization,
+    ValidationError,
     bertsimas_lb,
     bound_set,
     build_tree,
@@ -142,9 +142,9 @@ def test_clairvoyant_edge_lb_at_least_tour_floor():
 
 def test_clairvoyant_edge_lb_validation():
     tree = build_tree([(0, 1, 1.0)], capacity=2)
-    with pytest.raises(InconsistentRealizationError):
+    with pytest.raises(ValidationError, match="^2 demands for 1 customers$"):
         clairvoyant_edge_lb(tree, (1, 1))
-    with pytest.raises(InconsistentRealizationError):
+    with pytest.raises(ValidationError, match="^demand -1 of customer 1 is not a nonnegative integer$"):
         clairvoyant_edge_lb(tree, (-1,))
 
 

@@ -663,6 +663,60 @@ def test_report_lists_a_name_that_is_not_utf8_as_failed(tmp_path, capsys, corpus
     assert [row["instance"] for row in rows] == ["E1", "E1"]
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe", "invalid start byte at byte 0"),
+    # past the first read buffer, the offset is still the file's
+    (b" " * 10_000 + b"{\xc3(", "invalid continuation byte at byte 10001"),
+], ids=["first-byte", "past-the-read-buffer"])
+@pytest.mark.parametrize("argv", [["bounds"], ["evaluate", "--policy", "split"], ["simulate", "--policy", "split"]])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert run_cli(capsys, *argv, "--instance", str(path)) == (2, "", f"error: not valid UTF-8: {message}\n")
+
+
+def test_report_lists_a_file_that_is_not_utf8_as_failed(tmp_path, capsys, corpus_dir):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "E1.json").write_bytes((corpus_dir / "E1.json").read_bytes())
+    (mixed / "bad.json").write_bytes(b"\xff\xfe")
+    out_csv = tmp_path / "report.csv"
+    code, stdout, stderr = run_cli(
+        capsys, "report", "--corpus-dir", str(mixed), "--out-csv", str(out_csv)
+    )
+    assert (code, stdout) == (1, f"{out_csv}\n")
+    assert stderr == (
+        "error: bad.json: not valid UTF-8: invalid start byte at byte 0\n"
+        "report: 1 instance(s) failed\n"
+    )
+    rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert [row["instance"] for row in rows] == ["E1", "E1"]
+
+
+@pytest.mark.parametrize("capacity", ["0", "-1"])
+def test_a_capacity_below_one_is_named_as_the_capacity(tmp_path, capsys, capacity):
+    path = tmp_path / "x.json"
+    path.write_text(
+        '{"name": "x", "capacity": ' + capacity + ', "edges": [[0, 1, 1.0]], '
+        '"demands": [{"node": 1, "pmf": {"1": 1.0}}]}',
+        encoding="utf-8",
+    )
+    code, stdout, stderr = run_cli(capsys, "bounds", "--instance", str(path))
+    assert (code, stdout, stderr) == (2, "", f"error: capacity: expected an integer >= 1, got {capacity}\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("unif:3-1", "empty range 3-1"),
+    ("two:1,1.5,2", "probability 1.5 outside [0,1]"),
+    ("foo:1", "unknown pmf family 'foo'"),
+])
+def test_gen_names_what_is_wrong_with_a_pmf_spec(tmp_path, capsys, spec, message):
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run_cli(capsys, "gen", "--n", "2", "--capacity", "3", "--pmf", spec, "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", f"error: pmf spec {spec!r}: {message}\n")
+    assert not out.exists()
+
+
 def _long_edged_document(path, lengths, capacity=2, pmf='{"1": 0.5, "2": 0.5}'):
     """A path of ``len(lengths)`` customers, each with demand ``pmf`` (by
     default 1 or 2, with Q = 2)."""

@@ -7,11 +7,10 @@ import random
 import pytest
 
 from treevrpsd import (
-    BadParamsError,
     DemandModel,
     GeneratorParams,
-    InconsistentRealizationError,
     Realization,
+    ValidationError,
     bertsimas_lb,
     bound_set,
     build_tree,
@@ -178,15 +177,16 @@ def test_monte_carlo_zero_variance_when_cost_is_constant(corpus_dir):
 
 def test_monte_carlo_requires_two_samples(e1):
     tree, model = e1
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ValidationError, match="^samples must be an integer >= 2, got 1$"):
         monte_carlo_cost(tree, model, "split", samples=1, master_seed=0)
 
 
 def test_costs_reject_an_unknown_policy(e1):
     tree, model = e1
-    with pytest.raises(BadParamsError):
+    message = r"^policy must be one of \('split', 'unsplit'\), got 'both'$"
+    with pytest.raises(ValidationError, match=message):
         exact_expected_cost(tree, model, "both")
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ValidationError, match=message):
         monte_carlo_cost(tree, model, "both", samples=64, master_seed=3)
 
 
@@ -212,7 +212,7 @@ def test_costs_reject_an_unknown_policy(e1):
 ], ids=["bertsimas_lb", "bound_set", "exact", "exact-given-bounds", "monte_carlo", "edge", "partition"])
 def test_a_model_for_another_tree_is_refused(compute, model, message):
     tree = build_tree([(0, 1, 1.0), (1, 2, 1.0), (0, 3, 2.0)], capacity=4)
-    with pytest.raises(InconsistentRealizationError) as info:
+    with pytest.raises(ValidationError) as info:
         compute(tree, model)
     assert str(info.value) == message
 

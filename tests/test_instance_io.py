@@ -12,14 +12,9 @@ from pathlib import Path
 import pytest
 
 from treevrpsd import (
-    BadParamsError,
-    CycleOrForestError,
     DemandModel,
     GeneratorParams,
-    InstanceSyntaxError,
-    NotNormalizedError,
-    OutOfRangeError,
-    SchemaError,
+    ValidationError,
     build_tree,
     generate_document,
     make_pmf,
@@ -94,70 +89,76 @@ def test_serialize_orders_edges_and_pmf_keys():
 
 
 def test_parse_rejects_bad_json_and_schema():
-    with pytest.raises(InstanceSyntaxError):
+    with pytest.raises(ValidationError) as info:
         parse_document("{not json")
-    with pytest.raises(SchemaError):
-        parse_document("[1, 2]")
-    with pytest.raises(SchemaError):
-        parse_document('{"name": "x", "capacity": 2, "edges": []}')  # demands missing
-    with pytest.raises(SchemaError):
-        parse_document(
-            '{"name": "x", "capacity": 2, "edges": [], "demands": [], "extra": 1}'
-        )
-    with pytest.raises(SchemaError):
-        parse_document('{"name": 7, "capacity": 2, "edges": [], "demands": []}')
-    with pytest.raises(SchemaError):
-        parse_document('{"name": "x", "capacity": true, "edges": [], "demands": []}')
-    with pytest.raises(SchemaError):
-        parse_document(
-            '{"name": "x", "capacity": 2, "edges": [[0, 1]], "demands": []}'
-        )
-    with pytest.raises(SchemaError):
-        parse_document(
-            '{"name": "x", "capacity": 2, "edges": [], "demands": [{"node": 1}]}'
-        )
-    with pytest.raises(SchemaError):
-        parse_document(
-            '{"name": "x", "capacity": 2, "edges": [], '
-            '"demands": [{"node": 1, "pmf": {"one": 1.0}}]}'
-        )
+    assert str(info.value) == (
+        "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
+    for text, message in [
+        ("[1, 2]", "top level must be an object, got list"),
+        ('{"name": "x", "capacity": 2, "edges": []}', "missing keys ['demands']"),
+        ('{"name": "x", "capacity": 2, "edges": [], "demands": [], "extra": 1}', "unknown keys ['extra']"),
+        ('{"name": 7, "capacity": 2, "edges": [], "demands": []}', "name: expected a string, got 7"),
+        (
+            '{"name": "x", "capacity": true, "edges": [], "demands": []}',
+            "capacity: expected an integer, got True",
+        ),
+        (
+            '{"name": "x", "capacity": 2, "edges": [[0, 1]], "demands": []}',
+            "edges[0]: expected [parent, child, length]",
+        ),
+        (
+            '{"name": "x", "capacity": 2, "edges": [], "demands": [{"node": 1}]}',
+            "demands[0]: expected an object with keys node, pmf",
+        ),
+        (
+            '{"name": "x", "capacity": 2, "edges": [], "demands": [{"node": 1, "pmf": {"one": 1.0}}]}',
+            "demands[0].pmf: key 'one' is not an integer",
+        ),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            parse_document(text)
+        assert str(info.value) == message, text
     for key in ("edges", "demands"):
         raw = {"name": "x", "capacity": 2, "edges": [], "demands": []}
         raw[key] = {}
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_document(json.dumps(raw))
         assert str(info.value) == f"{key}: expected an array"
 
 
 def test_parse_rejects_demand_node_mismatch():
-    with pytest.raises(SchemaError):
+    cover = "demands must cover each customer 1..1 exactly once: node"
+    with pytest.raises(ValidationError) as info:
         parse_instance(
             '{"name": "x", "capacity": 2, "edges": [[0, 1, 1.0]], "demands": []}'
         )
-    with pytest.raises(SchemaError):
+    assert str(info.value) == f"{cover} 1 is missing (0 entries)"
+    with pytest.raises(ValidationError) as info:
         parse_instance(
             '{"name": "x", "capacity": 2, "edges": [[0, 1, 1.0]], '
             '"demands": [{"node": 2, "pmf": {"1": 1.0}}]}'
         )
+    assert str(info.value) == f"{cover} 2 at position 0 is outside 1..1 or repeated"
 
 
 def test_semantic_errors_carry_field_context():
-    with pytest.raises(NotNormalizedError) as info:
+    with pytest.raises(ValidationError) as info:
         parse_instance(
             '{"name": "x", "capacity": 2, "edges": [[0, 1, 1.0]], '
             '"demands": [{"node": 1, "pmf": {"1": 0.9}}]}'
         )
-    assert "node 1" in str(info.value)
-    with pytest.raises(CycleOrForestError) as info:
+    assert str(info.value) == "demands[0] (node 1): pmf mass sums to 0.9, expected 1 within 1e-12"
+    with pytest.raises(ValidationError) as info:
         parse_instance('{"name": "x", "capacity": 2, "edges": [[1, 0, 1.0]], "demands": []}')
-    assert str(info.value).startswith("edges:")
+    assert str(info.value) == "edges: the depot (vertex 0) cannot appear as a child"
 
 
 def test_demand_node_errors_stay_short_at_scale():
     n = 10_000
     doc = generate_document(GeneratorParams(n=n, capacity=3, topology="path", pmf="unif:1-3", seed=1))
     missing = dataclasses.replace(doc, demands=doc.demands[:500] + doc.demands[501:])
-    with pytest.raises(SchemaError) as info:
+    with pytest.raises(ValidationError) as info:
         document_to_instance(missing)
     assert f"1..{n}" in str(info.value) and "node 501 is missing" in str(info.value)
     assert len(str(info.value)) < 200
@@ -173,9 +174,9 @@ def test_identical_pmfs_are_built_once():
     bad = dataclasses.replace(
         parsed, demands=parsed.demands[:2] + ((3, ((1, 0.5),)),) + parsed.demands[3:]
     )
-    with pytest.raises(NotNormalizedError) as info:
+    with pytest.raises(ValidationError) as info:
         document_to_instance(bad)
-    assert str(info.value).startswith("demands[2] (node 3): ")
+    assert str(info.value) == "demands[2] (node 3): pmf mass sums to 0.5, expected 1 within 1e-12"
 
 
 def test_serializer_matches_json_dumps_oracle():
@@ -207,18 +208,18 @@ def _demands_document(*pmfs: str) -> str:
 
 
 def test_parse_memo_keeps_value_types_apart():
-    with pytest.raises(SchemaError) as info:
+    with pytest.raises(ValidationError) as info:
         parse_document(_demands_document('{"1": 1}', '{"1": true}'))
-    assert str(info.value).startswith("demands[1].pmf")
+    assert str(info.value) == "demands[1].pmf['1']: expected a number, got True"
 
 
 def test_parse_memo_raises_at_first_bad_listing():
     good, bad = '{"1": 1.0}', '{"x": 1.0}'
-    with pytest.raises(SchemaError) as info:
+    with pytest.raises(ValidationError) as info:
         parse_document(_demands_document(good, bad, good, bad))
     assert str(info.value) == "demands[1].pmf: key 'x' is not an integer"
     # a listing that cannot be hashed gets the full check and its message
-    with pytest.raises(SchemaError) as info:
+    with pytest.raises(ValidationError) as info:
         parse_document(_demands_document(good, '{"1": [1.0]}'))
     assert str(info.value).startswith("demands[1].pmf['1']: expected a number")
 
@@ -356,14 +357,19 @@ def test_load_matches_itemwise_oracle():
     for text in _oracle_texts():
         parsed = outcome(parse_document, text)
         assert parsed == outcome(itemwise_parse_document, text), text
-        seen.add(parsed[0])
+        seen.add("ok" if parsed[0] == "ok" else parsed[1])
         if parsed[0] == "ok":
             doc = parse_document(text)
             tree = outcome(build_tree, doc.edges, doc.capacity)
             assert tree == outcome(itemwise_build_tree, doc.edges, doc.capacity), text
-            seen.add(tree[0])
-    # the mutations reach every family of outcome
-    assert {"ok", "SchemaError", "CycleOrForestError", "NonpositiveLengthError", "BadCapacityError"} <= seen
+            seen.add("ok" if tree[0] == "ok" else tree[1])
+    # the mutations reach every family of outcome: a schema error, a
+    # capacity below 1, a tree of the wrong shape and a bad length
+    for family in (
+        "ok", "expected [parent, child, length]", "capacity: expected an integer >= 1",
+        "parent pointers contain a cycle", "non-positive length",
+    ):
+        assert any(family in message for message in seen), family
 
 
 def test_model_is_filled_by_node_in_any_document_order():
@@ -390,14 +396,15 @@ def test_huge_integers_are_schema_errors():
             f'{{"name": "x", "capacity": 2, "edges": {edges}, '
             f'"demands": [{{"node": 1, "pmf": {pmf}}}]}}'
         )
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_document(text)
         assert str(info.value) == f"{field}: an integer of 401 digits, too large for a float"
     # past the digit limit of int(), and nested past the recursion limit
-    with pytest.raises(InstanceSyntaxError) as info:
+    with pytest.raises(ValidationError) as info:
         parse_document('{"name": "x", "capacity": ' + "9" * 5000 + "}")
+    assert str(info.value).startswith("not valid JSON: ")
     assert "4300 digits" in str(info.value) and len(str(info.value)) < 200
-    with pytest.raises(InstanceSyntaxError):
+    with pytest.raises(ValidationError, match="^not valid JSON: maximum recursion depth exceeded"):
         parse_document("[" * 100_000)
 
 
@@ -435,7 +442,7 @@ def test_deep_path_loads_linearly_without_recursion():
         "edges": [[v % n + 1, v, 1.0] for v in range(1, n + 1)],
         "demands": [{"node": v, "pmf": {"1": 1.0}} for v in range(1, n + 1)],
     })
-    with pytest.raises(CycleOrForestError) as info:
+    with pytest.raises(ValidationError) as info:
         _call_within(60, lambda: document_to_instance(parse_document(cycle)))
     assert str(info.value) == "edges: parent pointers contain a cycle"
 
@@ -449,27 +456,30 @@ def test_parse_pmf_spec_families():
 
 
 def test_parse_pmf_spec_rejects_garbage():
-    for bad in [
-        "det:",
-        "det:x",
-        "det:0",
-        "det:5",  # above capacity 3
-        "unif:3-1",
-        "unif:1",
-        "two:1,2",
-        "two:1,1.5,2",
-        "gauss:1",
-        "",
+    for bad, message in [
+        ("det:", None),
+        ("det:x", None),
+        ("det:0", "positive probability at demand 0 is not allowed"),
+        ("det:5", "demand 5 outside 0..3"),  # above capacity 3
+        ("unif:3-1", "empty range 3-1"),
+        ("unif:1", None),
+        ("two:1,2", None),
+        ("two:1,1.5,2", "probability 1.5 outside [0,1]"),
+        ("gauss:1", "unknown pmf family 'gauss'"),
+        ("", "unknown pmf family ''"),
     ]:
-        with pytest.raises(BadParamsError):
+        with pytest.raises(ValidationError) as info:
             parse_pmf_spec(bad, 3)
+        # a spec that parses names what is wrong with it
+        want = f"malformed pmf spec {bad!r}" if message is None else f"pmf spec {bad!r}: {message}"
+        assert str(info.value) == want
     # ASCII digits only: int() alone reads 1_0 as 10, +1 as 1, and
     # fullwidth digits as digits; float() also reads 0.2_5, 1e-1 and .5
     for bad in [
         "det:1_0", "unif:+1-1_0", "det: 2", "det:+3", "det:\uff12", "two:+1,0.5,2", "two:1,0.5,1_0",
         "two:1,0.2_5,2", "two:1,1e-1,2", "two:1,.5,2", "two:1,1.,2", "two:1, 0.5,2", "two:1,nan,2",
     ]:
-        with pytest.raises(BadParamsError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_pmf_spec(bad, 12)
         assert str(info.value) == f"malformed pmf spec {bad!r}"
 
@@ -477,7 +487,7 @@ def test_parse_pmf_spec_rejects_garbage():
 def test_pmf_keys_are_an_optional_minus_and_ascii_digits():
     for key in ["1_0", " 2", "+3", "\uff12", "2 ", "--1", "-"]:
         for parse in (parse_document, itemwise_parse_document):
-            with pytest.raises(SchemaError) as info:
+            with pytest.raises(ValidationError) as info:
                 parse(_demands_document(json.dumps({key: 1.0})))
             assert str(info.value) == f"demands[0].pmf: key {key!r} is not an integer"
     assert parse_document(_demands_document('{"03": 1.0}')).demands == ((1, ((3, 1.0),)),)
@@ -486,7 +496,7 @@ def test_pmf_keys_are_an_optional_minus_and_ascii_digits():
         "name": "x", "capacity": 3, "edges": [[0, 1, 1.0]],
         "demands": [{"node": 1, "pmf": {"-1": 0.5, "1": 0.5}}],
     }))
-    with pytest.raises(OutOfRangeError) as info:
+    with pytest.raises(ValidationError) as info:
         document_to_instance(doc)
     assert str(info.value) == "demands[0] (node 1): demand -1 outside 0..3"
 
@@ -524,25 +534,24 @@ def test_generator_lengths_and_determinism():
 
 
 def test_generator_validation():
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ValidationError, match="^n must be an integer >= 0, got -1$"):
         generate_document(GeneratorParams(n=-1, capacity=2, topology="path", pmf="det:1", seed=0))
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ValidationError) as info:
         generate_document(GeneratorParams(n=2, capacity=2, topology="ring", pmf="det:1", seed=0))
-    with pytest.raises(BadParamsError):
+    assert str(info.value) == f"topology must be one of {TOPOLOGIES}, got 'ring'"
+    with pytest.raises(ValidationError, match="^capacity must be an integer >= 1, got 0$"):
         generate_document(GeneratorParams(n=2, capacity=0, topology="path", pmf="det:1", seed=0))
-    with pytest.raises(BadParamsError):
-        generate_document(
-            GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
-                            length_range=(0.0, 1.0))
-        )
-    with pytest.raises(BadParamsError):
-        generate_document(
-            GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
-                            length_range=(2.0, 1.0))
-        )
-    with pytest.raises(BadParamsError):
+    for length_range in ((0.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValidationError) as info:
+            generate_document(
+                GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
+                                length_range=length_range)
+            )
+        assert str(info.value) == f"length_range must satisfy 0 < low <= high, got {length_range!r}"
+    with pytest.raises(ValidationError) as info:
         generate_document(GeneratorParams(n=2, capacity=2, topology="path", pmf="det:3", seed=0))
-    with pytest.raises(BadParamsError) as info:
+    assert str(info.value) == "pmf spec 'det:3': demand 3 outside 0..2"
+    with pytest.raises(ValidationError) as info:
         generate_document(
             GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
                             length_range=("a", 1.0))
@@ -558,7 +567,7 @@ def test_generator_checks_the_lengths_it_drew_against_the_loaders_limit():
                              length_range=(largest / 48, largest / 16))
     tree, _ = generate(params)
     assert tree.total_edge_length <= largest / 12
-    with pytest.raises(BadParamsError) as info:
+    with pytest.raises(ValidationError) as info:
         generate_document(dataclasses.replace(params, seed=0))
     assert str(info.value).startswith(f"length_range: edge lengths sum past {largest / 12!r}: at n = 2 ")
 
@@ -575,11 +584,11 @@ def test_generator_refuses_a_name_parse_document_refuses():
     # A name from the command line keeps undecodable bytes as lone surrogates.
     message = "name: a lone surrogate at character 1 cannot be encoded as UTF-8"
     params = GeneratorParams(n=1, capacity=2, topology="star", pmf="det:1", seed=4, name="x\udcff")
-    with pytest.raises(BadParamsError) as info:
+    with pytest.raises(ValidationError) as info:
         generate_document(params)
     assert str(info.value) == message
     text = serialize_document(generate_document(dataclasses.replace(params, name="x")))
-    with pytest.raises(SchemaError) as info:
+    with pytest.raises(ValidationError) as info:
         parse_document(text.replace('"x"', '"x\\udcff"'))
     assert str(info.value) == message
 

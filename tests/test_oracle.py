@@ -6,11 +6,10 @@ import random
 import pytest
 
 from treevrpsd import (
-    BadParamsError,
     DemandModel,
-    InconsistentRealizationError,
     Realization,
     TooLargeError,
+    ValidationError,
     build_tree,
     dfs_order,
     exact_expected_cost,
@@ -71,11 +70,11 @@ def test_tie_break_returns_lexicographically_smallest():
 
 def test_partition_validation():
     tree = build_tree([(0, 1, 1.0)], capacity=2)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ValidationError, match=r"^demand 3 of customer 1 outside 1\.\.2$"):
         optimal_unsplit_partition(tree, (3,))  # above capacity, infeasible
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ValidationError, match=r"^demand 0 of customer 1 outside 1\.\.2$"):
         optimal_unsplit_partition(tree, (0,))
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ValidationError, match="^2 demands for 1 customers$"):
         optimal_unsplit_partition(tree, (1, 1))  # wrong length
     big = build_tree([(0, v, 1.0) for v in range(1, PARTITION_MAX_CUSTOMERS + 2)], capacity=2)
     with pytest.raises(TooLargeError):
@@ -132,9 +131,9 @@ def test_expected_clairvoyant_modes_and_frozen_value():
     # hand sum: demands (1,1),(1,2),(2,1),(2,2) each 1/4 give edge bounds 4,6,6,6
     assert expected_clairvoyant_lb(tree, model, mode="edge") == pytest.approx(5.5)
     assert expected_clairvoyant_lb(tree, model, mode="partition") == pytest.approx(5.5)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ValidationError, match="^mode must be 'edge' or 'partition', got 'exact'$"):
         expected_clairvoyant_lb(tree, model, mode="exact")
-    with pytest.raises(InconsistentRealizationError) as info:
+    with pytest.raises(ValidationError) as info:
         expected_clairvoyant_lb(tree, point_model((1,), 2), mode="edge")
     assert str(info.value) == "1 demand pmfs for 2 customers"
 

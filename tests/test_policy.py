@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from treevrpsd import (
     GeneratorParams,
-    InconsistentRealizationError,
     Realization,
+    ValidationError,
     WalkGeometry,
     build_tree,
     dfs_order,
@@ -144,17 +144,17 @@ def test_empty_instance_trace_is_empty():
 def test_realization_validation():
     tree = build_tree(E1_EDGES, capacity=2)
     order = dfs_order(tree)
-    with pytest.raises(InconsistentRealizationError):
-        run_split(tree, order, Realization((1,), 1))  # wrong demand count
-    with pytest.raises(InconsistentRealizationError):
-        run_split(tree, order, Realization((0, 1), 1))  # demand below 1
-    with pytest.raises(InconsistentRealizationError):
-        run_split(tree, order, Realization((3, 1), 1))  # demand above Q
-    with pytest.raises(InconsistentRealizationError):
-        run_split(tree, order, Realization((1, 1), 0))  # load below 1
-    with pytest.raises(InconsistentRealizationError):
-        run_split(tree, order, Realization((1, 1), 3))  # load above Q
-    with pytest.raises(InconsistentRealizationError) as info:
+    for realization, message in [
+        (Realization((1,), 1), "realization has 1 demands for 2 customers"),  # wrong demand count
+        (Realization((0, 1), 1), "demand 0 of customer 1 outside 1..2"),  # demand below 1
+        (Realization((3, 1), 1), "demand 3 of customer 1 outside 1..2"),  # demand above Q
+        (Realization((1, 1), 0), "initial load 0 outside 1..2"),  # load below 1
+        (Realization((1, 1), 3), "initial load 3 outside 1..2"),  # load above Q
+    ]:
+        with pytest.raises(ValidationError) as info:
+            run_split(tree, order, realization)
+        assert str(info.value) == message
+    with pytest.raises(ValidationError) as info:
         run_split(tree, order, Realization((1.5, 1), 1))  # not an integer
     assert str(info.value) == "demand 1.5 of customer 1 outside 1..2"
 

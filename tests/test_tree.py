@@ -10,12 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treevrpsd import (
-    BadCapacityError,
-    CycleOrForestError,
     GeneratorParams,
-    InvalidOrderError,
-    NonpositiveLengthError,
-    UnknownVertexError,
+    ValidationError,
     build_tree,
     check_preorder,
     dfs_order,
@@ -52,26 +48,25 @@ def test_build_tree_basic_fields():
 
 
 def test_build_tree_rejects_bad_inputs():
-    with pytest.raises(BadCapacityError):
+    with pytest.raises(ValidationError, match="^capacity must be an integer >= 1, got 0$"):
         build_tree(PATH3, capacity=0)
-    with pytest.raises(BadCapacityError):
+    with pytest.raises(ValidationError, match="^capacity must be an integer >= 1, got True$"):
         build_tree(PATH3, capacity=True)
-    with pytest.raises(NonpositiveLengthError):
-        build_tree([(0, 1, 0.0)], capacity=2)
-    with pytest.raises(NonpositiveLengthError):
-        build_tree([(0, 1, math.nan)], capacity=2)
-    with pytest.raises(NonpositiveLengthError):
-        build_tree([(0, 1, -1.0)], capacity=2)
+    for length in (0.0, math.nan, -1.0):
+        with pytest.raises(ValidationError) as info:
+            build_tree([(0, 1, length)], capacity=2)
+        assert str(info.value) == f"edge (0, 1) has non-positive length {length!r}"
     # child indices must be dense 1..n
-    with pytest.raises(CycleOrForestError):
+    with pytest.raises(ValidationError) as info:
         build_tree([(0, 2, 1.0)], capacity=2)
-    with pytest.raises(CycleOrForestError):
+    assert str(info.value) == "edge (0, 2) names a vertex outside 0..1; vertices must be dense"
+    with pytest.raises(ValidationError, match="^vertex 1 appears as a child more than once$"):
         build_tree([(0, 1, 1.0), (0, 1, 1.0)], capacity=2)
-    with pytest.raises(CycleOrForestError):
+    with pytest.raises(ValidationError, match="^parent pointers contain a cycle$"):
         build_tree([(2, 1, 1.0), (1, 2, 1.0)], capacity=2)
-    with pytest.raises(CycleOrForestError):
+    with pytest.raises(ValidationError, match="^parent pointers contain a cycle$"):
         build_tree([(0, 1, 1.0), (3, 2, 1.0), (2, 3, 1.0)], capacity=2)
-    with pytest.raises(CycleOrForestError):
+    with pytest.raises(ValidationError, match=r"^the depot \(vertex 0\) cannot appear as a child$"):
         build_tree([(1, 0, 1.0)], capacity=2)
 
 
@@ -111,16 +106,16 @@ def test_build_tree_matches_itemwise_oracle():
 
 def test_build_tree_names_huge_integer_lengths():
     for length in (10**400, -(10**400)):
-        with pytest.raises(NonpositiveLengthError) as info:
+        with pytest.raises(ValidationError) as info:
             build_tree([(0, 1, 1.0), (1, 2, length)], capacity=2)
         assert str(info.value) == "edge (1, 2) has length an integer of 401 digits, too large for a float"
 
 
 def test_build_tree_names_huge_integers_by_size():
-    with pytest.raises(BadCapacityError) as info:
+    with pytest.raises(ValidationError) as info:
         build_tree([(0, 1, 1.0)], capacity=10**400)
     assert str(info.value) == "capacity is an integer of 401 digits, too large for a float"
-    with pytest.raises(CycleOrForestError) as info:
+    with pytest.raises(ValidationError) as info:
         build_tree([(0, 1, 1.0), (1, -(10**400), 1.0)], capacity=2)
     assert str(info.value) == (
         "edge (1, <an integer of 401 digits, too large for a float>) names a vertex "
@@ -133,7 +128,7 @@ def test_build_tree_refuses_lengths_whose_costs_could_overflow():
     # one, and one length of 1e308 puts 2S past the largest float.
     for edges in ([(0, 1, 1e308), (1, 2, 1e308)], [(0, 1, 1e308)]):
         n = len(edges)
-        with pytest.raises(NonpositiveLengthError) as info:
+        with pytest.raises(ValidationError) as info:
             build_tree(edges, capacity=2)
         assert str(info.value) == (
             f"edge lengths sum past {sys.float_info.max / (4 * (n + 1))!r}: at n = {n} a walk "
@@ -143,7 +138,7 @@ def test_build_tree_refuses_lengths_whose_costs_could_overflow():
     half = sys.float_info.max / 24
     assert build_tree([(0, 1, half), (1, 2, half)], capacity=2).total_edge_length == 2 * half
     over = math.nextafter(half, math.inf)
-    with pytest.raises(NonpositiveLengthError):
+    with pytest.raises(ValidationError, match="^edge lengths sum past "):
         build_tree([(0, 1, over), (1, 2, over)], capacity=2)
 
 
@@ -189,11 +184,11 @@ def test_lowest_common_ancestor_matches_path_identity():
 
 def test_unknown_vertex_queries_raise():
     tree = build_tree(PATH3, capacity=2)
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(ValidationError, match=r"^vertex 4 outside 0\.\.3$"):
         path_distance(tree, 4, 0)
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(ValidationError, match=r"^vertex -1 outside 0\.\.3$"):
         path_distance(tree, -1, 0)
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(ValidationError, match=r"^vertex 99 outside 0\.\.3$"):
         lowest_common_ancestor(tree, 0, 99)
 
 
@@ -248,16 +243,20 @@ def test_any_preorder_closed_walk_is_twice_total_length():
 
 def test_check_preorder_rejects_bad_orders():
     tree = build_tree([(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0)], capacity=2)
-    with pytest.raises(InvalidOrderError):
-        check_preorder(tree, (1, 2))  # not a permutation
-    with pytest.raises(InvalidOrderError):
-        check_preorder(tree, (1, 1, 2))
-    with pytest.raises(InvalidOrderError):
-        check_preorder(tree, (2, 1, 3))  # child before its parent
-    with pytest.raises(InvalidOrderError):
-        check_preorder(tree, (1, 3, 2))  # leaves subtree of 1, then re-enters
-    with pytest.raises(InvalidOrderError):
-        check_preorder(tree, (0, 1, 2, 3))  # depot may not appear
+    outside = "appears outside its parent's open subtree"
+    for order, message in [
+        ((1, 2), "not a permutation of 1..3: vertex 3 is missing (2 entries)"),
+        ((1, 1, 2), "not a permutation of 1..3: vertex 1 at position 1 is outside 1..3 or repeated"),
+        # child before its parent
+        ((2, 1, 3), f"not a preorder of this tree: vertex 2 at position 0 (n=3) {outside}"),
+        # leaves subtree of 1, then re-enters
+        ((1, 3, 2), f"not a preorder of this tree: vertex 2 at position 2 (n=3) {outside}"),
+        # depot may not appear
+        ((0, 1, 2, 3), "not a permutation of 1..3: vertex 0 at position 0 is outside 1..3 or repeated"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            check_preorder(tree, order)
+        assert str(info.value) == f"order is {message}"
 
 
 def test_order_errors_stay_short_at_scale():
@@ -269,7 +268,7 @@ def test_order_errors_stay_short_at_scale():
         ((1, 1, *range(3, n + 1)), "vertex 1 at position 1"),
         (tuple(range(1, n)), f"vertex {n} is missing"),
     ]:
-        with pytest.raises(InvalidOrderError) as info:
+        with pytest.raises(ValidationError) as info:
             check_preorder(tree, order)
         assert fragment in str(info.value)
         assert len(str(info.value)) < 200
@@ -277,7 +276,7 @@ def test_order_errors_stay_short_at_scale():
 
 def test_closed_walk_length_rejects_non_preorders():
     tree = build_tree([(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0)], capacity=2)
-    with pytest.raises(InvalidOrderError):
+    with pytest.raises(ValidationError, match="^order is not a preorder of this tree: vertex 2 at position 0 "):
         closed_walk_length(tree, (2, 1, 3))
 
 
