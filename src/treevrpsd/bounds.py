@@ -26,7 +26,7 @@ from typing import Sequence
 from .demand import DemandModel
 from .errors import ValidationError, describe_int
 from .policy import RunTrace
-from .tree import TreeInstance
+from .tree import TreeInstance, check_demands
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,6 @@ def clairvoyant_edge_lb(tree: TreeInstance, demands: Sequence[int]) -> float:
     the weighted sum lower-bounds every policy, adaptive or clairvoyant.
     Demands above Q are legal here; the bound still applies.
     """
-    n = tree.n_customers
-    if len(demands) != n:
-        raise ValidationError(f"{len(demands)} demands for {n} customers")
-    for v, q in enumerate(demands, 1):
-        if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-            raise ValidationError(f"demand {q!r} of customer {v} is not a nonnegative integer")
+    check_demands(tree, demands, 0)
     crossings = edge_crossings(tree, demands)
     return math.fsum(2.0 * crossings[v] * tree.edge_length[v] for v in range(1, tree.vertex_count))

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .bounds import BoundSet, bound_set
 from .demand import Realization, replication_rng, sample_realization
-from .errors import TooLargeError, ValidationError
+from .errors import TooLargeError, ValidationError, describe_int
 # The costs are called as evaluator.<name>: the benchmark tracer
 # (perfbench/tracing.py) patches them there, so a name bound here at import
 # would never be timed.
@@ -145,11 +145,7 @@ def _parse_digits(text: str, what: str, read=digits_int):
     try:
         return read(text)
     except ValueError:
-        raise ValidationError(f"{what} is {_shown(text)}") from None
-
-
-def _shown(text: str) -> str:
-    return repr(text[:20]) + (f" ... ({len(text)} characters)" if len(text) > 20 else "")
+        raise ValidationError(f"{what} is {describe_int(text)}") from None
 
 
 def _int_flag(text: str, flag: str) -> int:
@@ -160,7 +156,7 @@ def _seed_flag(text: str) -> int:
     seed = _int_flag(text, "--seed")
     if len(text) > SEED_DIGITS:
         raise ValidationError(
-            f"--seed must be an integer of at most {SEED_DIGITS} digits: value is {_shown(text)}"
+            f"--seed must be an integer of at most {SEED_DIGITS} digits: value is {describe_int(text)}"
         )
     return seed
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import TooLargeError, ValidationError, describe_int, describe_large_int
+from .errors import TooLargeError, ValidationError, check_capacity, describe_int, describe_large_int
 
 NORMALIZATION_TOL = 1e-12
 
@@ -81,12 +81,11 @@ def make_pmf(entries: Iterable[tuple[int, float]], capacity: int) -> DemandPMF:
     rejected, as is any negative mass or a total off 1 by more than
     ``NORMALIZATION_TOL``.
     """
-    if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-        raise ValidationError(f"capacity must be an integer >= 1, got {capacity!r}")
+    check_capacity(capacity)
     acc: dict[int, list[float]] = {}
     for k, p in entries:
         if not isinstance(k, int) or isinstance(k, bool):
-            raise ValidationError(f"demand value must be an integer, got {k!r}")
+            raise ValidationError(f"demand value must be an integer, got {describe_int(k)}")
         try:
             finite = not isinstance(p, bool) and isinstance(p, (int, float)) and math.isfinite(p)
         except OverflowError:
@@ -95,12 +94,12 @@ def make_pmf(entries: Iterable[tuple[int, float]], capacity: int) -> DemandPMF:
             ) from None
         if not finite:
             raise ValidationError(
-                f"probability for demand {describe_int(k)} must be a finite real, got {p!r}"
+                f"probability for demand {describe_int(k)} must be a finite real, got {describe_int(p)}"
             )
         if p < 0:
             raise ValidationError(f"negative probability {p!r} at demand {describe_int(k)}")
         if k < 0 or k > capacity:
-            raise ValidationError(f"demand {describe_int(k)} outside 0..{describe_int(capacity)}")
+            raise ValidationError(f"demand {describe_int(k)} outside 0..{capacity}")
         if k == 0:
             if p > 0:
                 raise ValidationError("positive probability at demand 0 is not allowed")
@@ -126,8 +125,7 @@ class DemandModel:
     capacity: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.capacity, int) or isinstance(self.capacity, bool) or self.capacity < 1:
-            raise ValidationError(f"capacity must be an integer >= 1, got {self.capacity!r}")
+        check_capacity(self.capacity)
         # once per distinct pmf object, in order of first use
         for pmf in dict(zip(map(id, self.pmfs), self.pmfs)).values():
             if pmf.mass and pmf.max_value() > self.capacity:

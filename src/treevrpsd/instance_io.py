@@ -17,18 +17,18 @@ remapping happens on load.
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import re
 import stat
+import sys
 from contextlib import ExitStack
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
 from .demand import DemandModel, DemandPMF, make_pmf
-from .errors import ValidationError, describe_large_int
+from .errors import ValidationError, check_capacity, check_int, describe_int, describe_large_int
 from .tree import TreeInstance, build_tree, describe_non_permutation, length_sum
 
 TOPOLOGIES = ("path", "star", "random-attachment", "caterpillar")
@@ -69,15 +69,9 @@ def digits_float(text: str) -> float:
     return float(text)
 
 
-def _require_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
+        raise ValidationError(f"{where}: expected a number, got {describe_int(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -102,8 +96,8 @@ def _checked_edge(item, k: int) -> tuple[int, int, float]:
     if not isinstance(item, list) or len(item) != 3:
         raise ValidationError(f"{where}: expected [parent, child, length]")
     return (
-        _require_int(item[0], f"{where}.parent"),
-        _require_int(item[1], f"{where}.child"),
+        check_int(item[0], f"{where}.parent"),
+        check_int(item[1], f"{where}.child"),
         _require_number(item[2], f"{where}.length"),
     )
 
@@ -112,7 +106,7 @@ def _checked_demand(item, k: int) -> tuple[int, tuple[tuple[int, float], ...]]:
     where = f"demands[{k}]"
     if not isinstance(item, dict) or item.keys() != _DEMAND_KEYS:
         raise ValidationError(f"{where}: expected an object with keys node, pmf")
-    node = _require_int(item["node"], f"{where}.node")
+    node = check_int(item["node"], f"{where}.node")
     pmf_raw = item["pmf"]
     if not isinstance(pmf_raw, dict) or not pmf_raw:
         raise ValidationError(f"{where}.pmf: expected a non-empty object")
@@ -124,9 +118,9 @@ def _checked_demand(item, k: int) -> tuple[int, tuple[tuple[int, float], ...]]:
         try:
             value = digits_int(digits) if digits == key else -digits_int(digits)
         except ValueError:
-            raise ValidationError(f"{where}.pmf: key {key!r} is not an integer") from None
+            raise ValidationError(f"{where}.pmf: key {describe_int(key)} is not an integer") from None
         if type(prob) is not float:
-            prob = _require_number(prob, f"{where}.pmf[{key!r}]")
+            prob = _require_number(prob, f"{where}.pmf[{describe_int(key)}]")
         entries.append((value, prob))
     return node, tuple(sorted(entries))
 
@@ -154,12 +148,9 @@ def parse_document(text: str) -> InstanceDocument:
             parts.append(f"unknown keys {sorted(extra)}")
         raise ValidationError("; ".join(parts))
     if not isinstance(raw["name"], str):
-        raise ValidationError(f"name: expected a string, got {raw['name']!r}")
+        raise ValidationError(f"name: expected a string, got {describe_int(raw['name'])}")
     _check_name(raw["name"])
-    capacity = _require_int(raw["capacity"], "capacity")
-    _require_number(capacity, "capacity")  # names a capacity too large for a float
-    if capacity < 1:
-        raise ValidationError(f"capacity: expected an integer >= 1, got {capacity}")
+    capacity = check_capacity(raw["capacity"])
 
     # json.loads yields exact types, so ``type(x) is int`` also excludes bool.
     if not isinstance(raw["edges"], list):
@@ -335,7 +326,10 @@ def parse_pmf_spec(spec: str, capacity: int) -> DemandPMF:
             lo_s, _, hi_s = arg.partition("-")
             lo, hi = digits_int(lo_s), digits_int(hi_s)
             if lo > hi:
-                raise ValidationError(f"empty range {lo}-{hi}")
+                raise ValidationError(f"empty range {describe_int(lo)}-{describe_int(hi)}")
+            if hi > check_capacity(capacity):
+                # list only the value make_pmf refuses first: 0, or the first past Q
+                lo = hi = lo if lo == 0 else max(lo, capacity + 1)
             weight = 1.0 / (hi - lo + 1)
             entries = [(k, weight) for k in range(lo, hi + 1)]
         elif family == "two":
@@ -345,12 +339,12 @@ def parse_pmf_spec(spec: str, capacity: int) -> DemandPMF:
                 raise ValidationError(f"probability {p1} outside [0,1]")
             entries = [(k1, p1), (k2, 1.0 - p1)]
         else:
-            raise ValidationError(f"unknown pmf family {family!r}")
+            raise ValidationError(f"unknown pmf family {describe_int(family)}")
         return make_pmf(entries, capacity)
     except ValidationError as exc:
-        raise ValidationError(f"pmf spec {spec!r}: {exc}") from None
+        raise ValidationError(f"pmf spec {describe_int(spec)}: {exc}") from None
     except (ValueError, TypeError):
-        raise ValidationError(f"malformed pmf spec {spec!r}") from None
+        raise ValidationError(f"malformed pmf spec {describe_int(spec)}") from None
 
 
 # -- generation --------------------------------------------------------------
@@ -373,21 +367,16 @@ def default_name(params: GeneratorParams) -> str:
 
 
 def _check_params(params: GeneratorParams) -> None:
-    if not isinstance(params.n, int) or isinstance(params.n, bool) or params.n < 0:
-        raise ValidationError(f"n must be an integer >= 0, got {params.n!r}")
+    check_int(params.n, "n", 0)
     if params.topology not in TOPOLOGIES:
-        raise ValidationError(f"topology must be one of {TOPOLOGIES}, got {params.topology!r}")
+        raise ValidationError(f"topology must be one of {TOPOLOGIES}, got {describe_int(params.topology)}")
     low, high = params.length_range
     if not (isinstance(low, (int, float)) and isinstance(high, (int, float))):
-        raise ValidationError(f"length_range must hold two reals, got {params.length_range!r}")
-    if not (math.isfinite(low) and math.isfinite(high)) or low <= 0 or low > high:
-        raise ValidationError(f"length_range must satisfy 0 < low <= high, got {params.length_range!r}")
-    if not isinstance(params.capacity, int) or isinstance(params.capacity, bool) or params.capacity < 1:
-        raise ValidationError(f"capacity must be an integer >= 1, got {params.capacity!r}")
-    try:
-        float(params.capacity)
-    except OverflowError:
-        raise ValidationError(f"capacity: {describe_large_int(params.capacity)}") from None
+        raise ValidationError(f"length_range must hold two reals, got {describe_int(params.length_range)}")
+    if not 0 < low <= high <= sys.float_info.max:  # exact for ints too large for a float
+        raise ValidationError(f"length_range must satisfy 0 < low <= high, got {describe_int(params.length_range)}")
+    check_capacity(params.capacity)
+    check_int(params.seed, "seed")
     if params.name is not None:
         _check_name(params.name)
 

@@ -32,8 +32,8 @@ from .bounds import capacity_scale, check_model, edge_crossings
 # The benchmark tracer (perfbench/tracing.py) wraps oracle.clairvoyant_edge_lb by name.
 from .bounds import clairvoyant_edge_lb  # noqa: F401
 from .demand import DemandModel, DemandPMF, enumerate_joint
-from .errors import TooLargeError, ValidationError
-from .tree import TreeInstance
+from .errors import TooLargeError, ValidationError, describe_int
+from .tree import TreeInstance, check_demands
 
 PARTITION_MAX_CUSTOMERS = 10
 
@@ -64,12 +64,8 @@ def optimal_unsplit_partition(tree: TreeInstance, demands: Sequence[int]) -> Par
         raise TooLargeError(
             f"partition search supports at most {PARTITION_MAX_CUSTOMERS} customers, got {n}"
         )
-    if len(demands) != n:
-        raise ValidationError(f"{len(demands)} demands for {n} customers")
     capacity = tree.capacity
-    for v, q in enumerate(demands, 1):
-        if not isinstance(q, int) or isinstance(q, bool) or not (1 <= q <= capacity):
-            raise ValidationError(f"demand {q!r} of customer {v} outside 1..{capacity}")
+    check_demands(tree, demands, 1, capacity)
     if n == 0:
         return PartitionSolution(groups=(), cost=0.0)
 
@@ -251,7 +247,7 @@ def expected_clairvoyant_lb(
     if mode == EDGE:
         return _expected_edge_lb(tree, model)
     if mode != PARTITION:
-        raise ValidationError(f"mode must be 'edge' or 'partition', got {mode!r}")
+        raise ValidationError(f"mode must be 'edge' or 'partition', got {describe_int(mode)}")
     return math.fsum(
         prob * optimal_unsplit_partition(tree, q).cost
         for q, prob in enumerate_joint(model)

@@ -47,8 +47,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .demand import Realization
-from .errors import ValidationError, describe_int
-from .tree import TreeInstance, VisitOrder, check_preorder
+from .errors import check_int
+from .tree import TreeInstance, VisitOrder, check_demands, check_preorder
 # The benchmark tracer (perfbench/tracing.py) wraps policy.path_distance by name.
 from .tree import path_distance  # noqa: F401
 
@@ -101,19 +101,11 @@ class RunTrace:
 
 
 def _check_realization(tree: TreeInstance, r: Realization) -> None:
-    n = tree.n_customers
     q = tree.capacity
-    demands = r.demands
-    if len(demands) != n:
-        raise ValidationError(f"realization has {len(demands)} demands for {n} customers")
-    # One exact-type pass; the per-item loop runs only to word an error.
-    if not all(type(d) is int and 1 <= d <= q for d in demands):
-        for idx, d in enumerate(demands, 1):
-            if not isinstance(d, int) or isinstance(d, bool) or not (1 <= d <= q):
-                raise ValidationError(f"demand {describe_int(d)} of customer {idx} outside 1..{q}")
-    load = r.initial_load
-    if not isinstance(load, int) or isinstance(load, bool) or not (1 <= load <= q):
-        raise ValidationError(f"initial load {describe_int(load)} outside 1..{q}")
+    # One exact-type pass; the full check runs only to word an error.
+    if len(r.demands) != tree.n_customers or not all(type(d) is int and 1 <= d <= q for d in r.demands):
+        check_demands(tree, r.demands, 1, q)
+    check_int(r.initial_load, "initial load", 1, q)
 
 
 def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: str) -> RunTrace:

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ValidationError, describe_int, describe_large_int
+from .errors import ValidationError, check_capacity, check_int, describe_int
 
 # A visiting order is a permutation of customers 1..n; the depot is
 # implicit at both ends of the walk.
@@ -82,13 +82,7 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
     lengths whose walk costs would overflow a float, and for a capacity
     below 1 or too large for a float.
     """
-    if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-        raise ValidationError(f"capacity must be an integer >= 1, got {capacity!r}")
-    try:
-        float(capacity)  # the bounds divide by Q
-    except OverflowError:
-        raise ValidationError(f"capacity is {describe_large_int(capacity)}") from None
-
+    check_capacity(capacity)
     edge_list = list(edges)
     n = len(edge_list)
     parent = [-1] * (n + 1)
@@ -164,7 +158,7 @@ def length_sum(lengths: Iterable[float], n: int) -> float:
 def _checked_edge(p, c, ln, n: int, parent: list[int]) -> float:
     """Check one edge in full; return its length as a float or raise."""
     if not isinstance(p, int) or not isinstance(c, int) or isinstance(p, bool) or isinstance(c, bool):
-        raise ValidationError(f"vertex names must be integers, got edge ({p!r}, {c!r})")
+        raise ValidationError(f"vertex names must be integers, got edge ({describe_int(p)}, {describe_int(c)})")
     if c == 0:
         raise ValidationError("the depot (vertex 0) cannot appear as a child")
     if not (0 <= p <= n) or not (1 <= c <= n):
@@ -178,20 +172,25 @@ def _checked_edge(p, c, ln, n: int, parent: list[int]) -> float:
         try:
             value = float(ln)
         except OverflowError:
-            raise ValidationError(f"edge ({p}, {c}) has length {describe_large_int(ln)}") from None
+            value = math.inf
         if 0.0 < value < math.inf:
             return value
-    raise ValidationError(f"edge ({p}, {c}) has non-positive length {ln!r}")
+    raise ValidationError(f"edge ({p}, {c}) length: expected a positive finite number, got {describe_int(ln)}")
 
 
-def _check_vertex(tree: TreeInstance, v: int) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < tree.vertex_count):
-        raise ValidationError(f"vertex {v!r} outside 0..{tree.vertex_count - 1}")
+def check_demands(tree: TreeInstance, demands: Sequence[int], low: int, high: int | None = None) -> None:
+    """Raise ``ValidationError`` unless ``demands`` holds one integer in
+    ``low..high`` (no upper end when None) per customer."""
+    n = tree.n_customers
+    if len(demands) != n:
+        raise ValidationError(f"{len(demands)} demands for {n} customers")
+    for v, d in enumerate(demands, 1):
+        check_int(d, f"demand of customer {v}", low, high)
 
 
 def lowest_common_ancestor(tree: TreeInstance, i: int, j: int) -> int:
-    _check_vertex(tree, i)
-    _check_vertex(tree, j)
+    check_int(i, "vertex", 0, tree.vertex_count - 1)
+    check_int(j, "vertex", 0, tree.vertex_count - 1)
     while i != j:
         if tree.depth[i] >= tree.depth[j]:
             i = tree.parent[i]

@@ -423,9 +423,9 @@ def itemwise_parse_document(text: str) -> InstanceDocument:
         raise ValidationError("; ".join(parts))
     if not isinstance(raw["name"], str):
         raise ValidationError(f"name: expected a string, got {raw['name']!r}")
-    capacity = _require_int(raw["capacity"], "capacity")
-    if capacity < 1:
-        raise ValidationError(f"capacity: expected an integer >= 1, got {capacity}")
+    capacity = raw["capacity"]
+    if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
+        raise ValidationError(f"capacity: expected an integer >= 1, got {capacity!r}")
 
     if not isinstance(raw["edges"], list):
         raise ValidationError("edges: expected an array")
@@ -496,7 +496,7 @@ def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) 
     """Build a tree with full checks on every edge, depths by parent-chain
     walks, and the preorder by :func:`stack_walk_preorder`."""
     if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-        raise ValidationError(f"capacity must be an integer >= 1, got {capacity!r}")
+        raise ValidationError(f"capacity: expected an integer >= 1, got {capacity!r}")
 
     edge_list = list(edges)
     n = len(edge_list)
@@ -517,7 +517,7 @@ def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) 
             raise ValidationError(f"vertex {c} appears as a child more than once")
         seen_children.add(c)
         if isinstance(ln, bool) or not isinstance(ln, (int, float)) or not math.isfinite(ln) or ln <= 0:
-            raise ValidationError(f"edge ({p}, {c}) has non-positive length {ln!r}")
+            raise ValidationError(f"edge ({p}, {c}) length: expected a positive finite number, got {ln!r}")
         parent[c] = p
         length[c] = float(ln)
 

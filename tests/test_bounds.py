@@ -144,7 +144,7 @@ def test_clairvoyant_edge_lb_validation():
     tree = build_tree([(0, 1, 1.0)], capacity=2)
     with pytest.raises(ValidationError, match="^2 demands for 1 customers$"):
         clairvoyant_edge_lb(tree, (1, 1))
-    with pytest.raises(ValidationError, match="^demand -1 of customer 1 is not a nonnegative integer$"):
+    with pytest.raises(ValidationError, match="^demand of customer 1: expected an integer >= 0, got -1$"):
         clairvoyant_edge_lb(tree, (-1,))
 
 

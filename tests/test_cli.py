@@ -191,9 +191,10 @@ def test_simulate_demands_require_load(capsys, corpus_dir):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--load", "9" * 500], "initial load <an integer of 500 digits, too large for a float> outside 1..2"),
+    (["--load", "9" * 500],
+     "initial load: expected an integer in 1..2, got <an integer of 500 digits, too large for a float>"),
     (["--demands", "1," + "9" * 500, "--load", "1"],
-     "demand <an integer of 500 digits, too large for a float> of customer 2 outside 1..2"),
+     "demand of customer 2: expected an integer in 1..2, got <an integer of 500 digits, too large for a float>"),
     (["--demands", "1," * 3000 + "x", "--load", "1"],
      "--demands must be comma-separated integers: entry 3000 is 'x'"),
     # past the interpreter's 4300-digit limit on int(str)
@@ -707,6 +708,7 @@ def test_a_capacity_below_one_is_named_as_the_capacity(tmp_path, capsys, capacit
 
 @pytest.mark.parametrize("spec, message", [
     ("unif:3-1", "empty range 3-1"),
+    ("unif:1-5", "demand 4 outside 0..3"),
     ("two:1,1.5,2", "probability 1.5 outside [0,1]"),
     ("foo:1", "unknown pmf family 'foo'"),
 ])
@@ -714,6 +716,16 @@ def test_gen_names_what_is_wrong_with_a_pmf_spec(tmp_path, capsys, spec, message
     out = tmp_path / "x.json"
     code, stdout, stderr = run_cli(capsys, "gen", "--n", "2", "--capacity", "3", "--pmf", spec, "--out", str(out))
     assert (code, stdout, stderr) == (2, "", f"error: pmf spec {spec!r}: {message}\n")
+    assert not out.exists()
+
+
+def test_gen_refuses_a_unif_range_past_the_capacity_before_listing_it(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    spec = "unif:1-" + "9" * 400  # its weight 1 / (hi - lo + 1) would overflow a float
+    code, stdout, stderr = run_cli(capsys, "gen", "--n", "1", "--capacity", "3", "--pmf", spec, "--out", str(out))
+    assert (code, stdout, stderr) == (
+        2, "", "error: pmf spec 'unif:1-9999999999999' ... (407 characters): demand 4 outside 0..3\n",
+    )
     assert not out.exists()
 
 

@@ -177,7 +177,7 @@ def test_monte_carlo_zero_variance_when_cost_is_constant(corpus_dir):
 
 def test_monte_carlo_requires_two_samples(e1):
     tree, model = e1
-    with pytest.raises(ValidationError, match="^samples must be an integer >= 2, got 1$"):
+    with pytest.raises(ValidationError, match="^samples: expected an integer >= 2, got 1$"):
         monte_carlo_cost(tree, model, "split", samples=1, master_seed=0)
 
 

@@ -101,7 +101,7 @@ def test_parse_rejects_bad_json_and_schema():
         ('{"name": 7, "capacity": 2, "edges": [], "demands": []}', "name: expected a string, got 7"),
         (
             '{"name": "x", "capacity": true, "edges": [], "demands": []}',
-            "capacity: expected an integer, got True",
+            "capacity: expected an integer >= 1, got True",
         ),
         (
             '{"name": "x", "capacity": 2, "edges": [[0, 1]], "demands": []}',
@@ -115,9 +115,18 @@ def test_parse_rejects_bad_json_and_schema():
             '{"name": "x", "capacity": 2, "edges": [], "demands": [{"node": 1, "pmf": {"one": 1.0}}]}',
             "demands[0].pmf: key 'one' is not an integer",
         ),
+        # json reads all three as floats; the tree refuses them as lengths
+        *[
+            (
+                f'{{"name": "x", "capacity": 2, "edges": [[0, 1, {length}]], '
+                '"demands": [{"node": 1, "pmf": {"1": 1.0}}]}',
+                f"edges: edge (0, 1) length: expected a positive finite number, got {shown}",
+            )
+            for length, shown in [("Infinity", "inf"), ("NaN", "nan"), ("1e400", "inf")]
+        ],
     ]:
         with pytest.raises(ValidationError) as info:
-            parse_document(text)
+            parse_instance(text)
         assert str(info.value) == message, text
     for key in ("edges", "demands"):
         raw = {"name": "x", "capacity": 2, "edges": [], "demands": []}
@@ -367,7 +376,7 @@ def test_load_matches_itemwise_oracle():
     # capacity below 1, a tree of the wrong shape and a bad length
     for family in (
         "ok", "expected [parent, child, length]", "capacity: expected an integer >= 1",
-        "parent pointers contain a cycle", "non-positive length",
+        "parent pointers contain a cycle", "expected a positive finite number",
     ):
         assert any(family in message for message in seen), family
 
@@ -462,6 +471,9 @@ def test_parse_pmf_spec_rejects_garbage():
         ("det:0", "positive probability at demand 0 is not allowed"),
         ("det:5", "demand 5 outside 0..3"),  # above capacity 3
         ("unif:3-1", "empty range 3-1"),
+        ("unif:1-5", "demand 4 outside 0..3"),  # refused before the list is built
+        ("unif:7-9", "demand 7 outside 0..3"),
+        ("unif:0-5", "positive probability at demand 0 is not allowed"),  # demand 0 is refused first
         ("unif:1", None),
         ("two:1,2", None),
         ("two:1,1.5,2", "probability 1.5 outside [0,1]"),
@@ -482,6 +494,14 @@ def test_parse_pmf_spec_rejects_garbage():
         with pytest.raises(ValidationError) as info:
             parse_pmf_spec(bad, 12)
         assert str(info.value) == f"malformed pmf spec {bad!r}"
+
+
+def test_a_unif_spec_past_the_capacity_is_refused_before_its_weight_or_list():
+    # 1 / (hi - lo + 1) overflows a float here; the range is refused first
+    spec = "unif:1-" + "9" * 400
+    with pytest.raises(ValidationError) as info:
+        parse_pmf_spec(spec, 3)
+    assert str(info.value) == "pmf spec 'unif:1-9999999999999' ... (407 characters): demand 4 outside 0..3"
 
 
 def test_pmf_keys_are_an_optional_minus_and_ascii_digits():
@@ -534,12 +554,12 @@ def test_generator_lengths_and_determinism():
 
 
 def test_generator_validation():
-    with pytest.raises(ValidationError, match="^n must be an integer >= 0, got -1$"):
+    with pytest.raises(ValidationError, match="^n: expected an integer >= 0, got -1$"):
         generate_document(GeneratorParams(n=-1, capacity=2, topology="path", pmf="det:1", seed=0))
     with pytest.raises(ValidationError) as info:
         generate_document(GeneratorParams(n=2, capacity=2, topology="ring", pmf="det:1", seed=0))
     assert str(info.value) == f"topology must be one of {TOPOLOGIES}, got 'ring'"
-    with pytest.raises(ValidationError, match="^capacity must be an integer >= 1, got 0$"):
+    with pytest.raises(ValidationError, match="^capacity: expected an integer >= 1, got 0$"):
         generate_document(GeneratorParams(n=2, capacity=0, topology="path", pmf="det:1", seed=0))
     for length_range in ((0.0, 1.0), (2.0, 1.0)):
         with pytest.raises(ValidationError) as info:

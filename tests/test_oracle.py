@@ -70,9 +70,9 @@ def test_tie_break_returns_lexicographically_smallest():
 
 def test_partition_validation():
     tree = build_tree([(0, 1, 1.0)], capacity=2)
-    with pytest.raises(ValidationError, match=r"^demand 3 of customer 1 outside 1\.\.2$"):
+    with pytest.raises(ValidationError, match=r"^demand of customer 1: expected an integer in 1\.\.2, got 3$"):
         optimal_unsplit_partition(tree, (3,))  # above capacity, infeasible
-    with pytest.raises(ValidationError, match=r"^demand 0 of customer 1 outside 1\.\.2$"):
+    with pytest.raises(ValidationError, match=r"^demand of customer 1: expected an integer in 1\.\.2, got 0$"):
         optimal_unsplit_partition(tree, (0,))
     with pytest.raises(ValidationError, match="^2 demands for 1 customers$"):
         optimal_unsplit_partition(tree, (1, 1))  # wrong length

@@ -145,18 +145,18 @@ def test_realization_validation():
     tree = build_tree(E1_EDGES, capacity=2)
     order = dfs_order(tree)
     for realization, message in [
-        (Realization((1,), 1), "realization has 1 demands for 2 customers"),  # wrong demand count
-        (Realization((0, 1), 1), "demand 0 of customer 1 outside 1..2"),  # demand below 1
-        (Realization((3, 1), 1), "demand 3 of customer 1 outside 1..2"),  # demand above Q
-        (Realization((1, 1), 0), "initial load 0 outside 1..2"),  # load below 1
-        (Realization((1, 1), 3), "initial load 3 outside 1..2"),  # load above Q
+        (Realization((1,), 1), "1 demands for 2 customers"),  # wrong demand count
+        (Realization((0, 1), 1), "demand of customer 1: expected an integer in 1..2, got 0"),  # demand below 1
+        (Realization((3, 1), 1), "demand of customer 1: expected an integer in 1..2, got 3"),  # demand above Q
+        (Realization((1, 1), 0), "initial load: expected an integer in 1..2, got 0"),  # load below 1
+        (Realization((1, 1), 3), "initial load: expected an integer in 1..2, got 3"),  # load above Q
     ]:
         with pytest.raises(ValidationError) as info:
             run_split(tree, order, realization)
         assert str(info.value) == message
     with pytest.raises(ValidationError) as info:
         run_split(tree, order, Realization((1.5, 1), 1))  # not an integer
-    assert str(info.value) == "demand 1.5 of customer 1 outside 1..2"
+    assert str(info.value) == "demand of customer 1: expected an integer in 1..2, got 1.5"
 
 
 def test_tour_decomposition_and_loads():

@@ -1,9 +1,27 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import io
+import json
 import tokenize
 from pathlib import Path
+
+import pytest
+
+from treevrpsd import (
+    Realization,
+    ValidationError,
+    bound_set,
+    build_tree,
+    cli,
+    monte_carlo_cost,
+    parse_document,
+    parse_instance,
+    parse_pmf_spec,
+    point_model,
+    run_split,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,3 +61,72 @@ def test_readme_library_example_prints_its_commented_values():
         checked.append(want)
     # the exact cost, the trace length and the breakpoint list
     assert checked == [5.0, 6.0, [("breakpoint", 1, "exact")]]
+
+
+def _library_error(fn, *args) -> str:
+    with pytest.raises(ValidationError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def _cli_error(*argv: str) -> str:
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert cli.main(list(argv)) == 2
+    return stderr.getvalue().removeprefix("error: ").removesuffix("\n")
+
+
+def _document(capacity: int, pmfs: list[dict]) -> str:
+    return json.dumps({
+        "name": "x", "capacity": capacity, "edges": [[v - 1, v, 1.0] for v in range(1, len(pmfs) + 1)],
+        "demands": [{"node": v, "pmf": pmf} for v, pmf in enumerate(pmfs, 1)],
+    })
+
+
+def _utf8_error() -> str:
+    Path("bad.json").write_bytes(b"\xff{}")
+    return _cli_error("bounds", "--instance", "bad.json")
+
+
+E1 = str(README.parent / "corpus" / "E1.json")
+PATH2 = [(0, 1, 1.0), (1, 2, 1.0)]
+
+# Each error message README quotes, and a call that raises it.
+README_ERRORS = [
+    (lambda: _library_error(parse_pmf_spec, "unif:3-1", 3), "pmf spec 'unif:3-1': empty range 3-1"),
+    (lambda: _library_error(parse_pmf_spec, "unif:1-5", 3), "pmf spec 'unif:1-5': demand 4 outside 0..3"),
+    (lambda: _cli_error("evaluate", "--instance", E1, "--policy", "split", "--seed", "+1"),
+     "--seed must be an integer: value is '+1'"),
+    (lambda: _cli_error("gen", "--n", "1", "--capacity", "1", "--pmf", "det:1", "--out", "missing/x.json"),
+     "--out 'missing/x.json': 'missing' is not a directory"),
+    (lambda: _library_error(parse_document, _document(0, [])), "capacity: expected an integer >= 1, got 0"),
+    (lambda: _library_error(parse_instance, _document(2, [{"1": 1.0}, {"1": 1.0}, {"1": 0.5}])),
+     "demands[2] (node 3): pmf mass sums to 0.5, expected 1 within 1e-12"),
+    (lambda: _library_error(parse_instance, json.dumps({
+        "name": "x", "capacity": 2, "edges": [[1, 0, 1.0]], "demands": []})),
+     "edges: the depot (vertex 0) cannot appear as a child"),
+    (lambda: _library_error(parse_instance, _document(2, [{"1": 1.0}]).replace("[0, 1, 1.0]", "[0, 1, Infinity]")),
+     "edges: edge (0, 1) length: expected a positive finite number, got inf"),
+    (lambda: _library_error(bound_set, build_tree(PATH2 + [(2, 3, 1.0)], 2), point_model((1, 1), 2)),
+     "2 demand pmfs for 3 customers"),
+    (lambda: _library_error(monte_carlo_cost, build_tree(PATH2, 2), point_model((1, 1), 2), "split", 1, 0),
+     "samples: expected an integer >= 2, got 1"),
+    (lambda: _library_error(run_split, build_tree(PATH2, 2), (1, 2), Realization((1, 3), 1)),
+     "demand of customer 2: expected an integer in 1..2, got 3"),
+    (lambda: _library_error(run_split, build_tree(PATH2, 2), (1, 2), Realization((1, 1), 3)),
+     "initial load: expected an integer in 1..2, got 3"),
+    (lambda: _library_error(run_split, build_tree(PATH2, 2), (1, 2), Realization((1,), 1)),
+     "1 demands for 2 customers"),
+    (lambda: _library_error(build_tree, PATH2, 2**1100), "capacity: an integer of 332 digits, too large for a float"),
+    (lambda: _library_error(build_tree, PATH2, "x" * 100_000),
+     "capacity: expected an integer >= 1, got 'xxxxxxxxxxxxxxxxxxxx' ... (100000 characters)"),
+    (_utf8_error, "not valid UTF-8: invalid start byte at byte 0"),
+]
+
+
+@pytest.mark.parametrize("raise_it, message", README_ERRORS)
+def test_readme_quotes_the_messages_the_code_raises(tmp_path, monkeypatch, raise_it, message):
+    monkeypatch.chdir(tmp_path)  # no "missing" directory; room for "bad.json"
+    assert raise_it() == message
+    # README wraps lines inside a quote; compare with each line break as a space
+    assert f"`{message}`" in " ".join(README.read_text(encoding="utf-8").split())

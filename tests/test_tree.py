@@ -48,14 +48,14 @@ def test_build_tree_basic_fields():
 
 
 def test_build_tree_rejects_bad_inputs():
-    with pytest.raises(ValidationError, match="^capacity must be an integer >= 1, got 0$"):
+    with pytest.raises(ValidationError, match="^capacity: expected an integer >= 1, got 0$"):
         build_tree(PATH3, capacity=0)
-    with pytest.raises(ValidationError, match="^capacity must be an integer >= 1, got True$"):
+    with pytest.raises(ValidationError, match="^capacity: expected an integer >= 1, got True$"):
         build_tree(PATH3, capacity=True)
     for length in (0.0, math.nan, -1.0):
         with pytest.raises(ValidationError) as info:
             build_tree([(0, 1, length)], capacity=2)
-        assert str(info.value) == f"edge (0, 1) has non-positive length {length!r}"
+        assert str(info.value) == f"edge (0, 1) length: expected a positive finite number, got {length!r}"
     # child indices must be dense 1..n
     with pytest.raises(ValidationError) as info:
         build_tree([(0, 2, 1.0)], capacity=2)
@@ -108,13 +108,16 @@ def test_build_tree_names_huge_integer_lengths():
     for length in (10**400, -(10**400)):
         with pytest.raises(ValidationError) as info:
             build_tree([(0, 1, 1.0), (1, 2, length)], capacity=2)
-        assert str(info.value) == "edge (1, 2) has length an integer of 401 digits, too large for a float"
+        assert str(info.value) == (
+            "edge (1, 2) length: expected a positive finite number, "
+            "got <an integer of 401 digits, too large for a float>"
+        )
 
 
 def test_build_tree_names_huge_integers_by_size():
     with pytest.raises(ValidationError) as info:
         build_tree([(0, 1, 1.0)], capacity=10**400)
-    assert str(info.value) == "capacity is an integer of 401 digits, too large for a float"
+    assert str(info.value) == "capacity: an integer of 401 digits, too large for a float"
     with pytest.raises(ValidationError) as info:
         build_tree([(0, 1, 1.0), (1, -(10**400), 1.0)], capacity=2)
     assert str(info.value) == (
@@ -184,11 +187,11 @@ def test_lowest_common_ancestor_matches_path_identity():
 
 def test_unknown_vertex_queries_raise():
     tree = build_tree(PATH3, capacity=2)
-    with pytest.raises(ValidationError, match=r"^vertex 4 outside 0\.\.3$"):
+    with pytest.raises(ValidationError, match=r"^vertex: expected an integer in 0\.\.3, got 4$"):
         path_distance(tree, 4, 0)
-    with pytest.raises(ValidationError, match=r"^vertex -1 outside 0\.\.3$"):
+    with pytest.raises(ValidationError, match=r"^vertex: expected an integer in 0\.\.3, got -1$"):
         path_distance(tree, -1, 0)
-    with pytest.raises(ValidationError, match=r"^vertex 99 outside 0\.\.3$"):
+    with pytest.raises(ValidationError, match=r"^vertex: expected an integer in 0\.\.3, got 99$"):
         lowest_common_ancestor(tree, 0, 99)
 
 
