@@ -21,8 +21,6 @@ from .demand import (
     DemandModel,
     DemandPMF,
     Realization,
-    enumerate_joint,
-    joint_support_size,
     make_pmf,
     point_model,
     replication_rng,
@@ -86,12 +84,10 @@ __all__ = [
     "check_preorder",
     "clairvoyant_edge_lb",
     "dfs_order",
-    "enumerate_joint",
     "exact_expected_cost",
     "expected_clairvoyant_lb",
     "format_trace",
     "generate_document",
-    "joint_support_size",
     "make_pmf",
     "monte_carlo_cost",
     "optimal_unsplit_partition",

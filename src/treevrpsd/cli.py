@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or validation
 error.  Exact evaluation is a closed form, so no subcommand enumerates
 demand vectors except the partition oracle inside ``report``, which
 leaves its cell empty when the joint support is over the enumeration
-cap.  All outputs are byte-reproducible for identical flags and seeds.
+cap, as the edge bound does over its transform cap.  All outputs are
+byte-reproducible for identical flags and seeds.
 """
 
 from __future__ import annotations
@@ -233,15 +234,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _evaluate_rows(doc, tree, model) -> list[dict]:
     # Both policy rows read one bound set and one edge bound.
     bounds = bound_set(tree, model)
-    edge_lb = expected_clairvoyant_lb(tree, model, mode=EDGE)
+    try:
+        edge_lb = expected_clairvoyant_lb(tree, model, mode=EDGE)
+    except TooLargeError:
+        edge_lb = None
     rows = []
     for policy in POLICIES:
         cost = evaluator.exact_expected_cost(tree, model, policy, bounds=bounds)
         row = _row(doc.name, policy, bounds, cost)
         # The per-realization optimum is unsplit-shaped, so its partition
         # oracle bounds only the unsplit policy; the edge bound holds for
-        # both.  Only the partition oracle enumerates, and an instance
-        # over the enumeration limit leaves its cell empty.
+        # both.  An instance over the enumeration limit, or the edge bound's
+        # transform limit, leaves that bound's cells empty.
         clair = edge_lb
         if policy == UNSPLIT and tree.n_customers <= PARTITION_MAX_CUSTOMERS:
             try:

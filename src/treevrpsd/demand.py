@@ -174,14 +174,6 @@ def replication_rng(master_seed: int, replication: int) -> random.Random:
     return random.Random(master_seed * (2**32) + replication)
 
 
-def joint_support_size(model: DemandModel) -> int:
-    """Number of joint demand vectors (product of support sizes)."""
-    size = 1
-    for pmf in model.pmfs:
-        size *= len(pmf.mass)
-    return size
-
-
 def enumerate_joint(model: DemandModel) -> Iterator[tuple[tuple[int, ...], float]]:
     """Yield every joint demand vector with its product probability.
 
@@ -189,7 +181,7 @@ def enumerate_joint(model: DemandModel) -> Iterator[tuple[tuple[int, ...], float
     ascending).  Raises ``TooLargeError`` before yielding anything if
     the joint support exceeds ``ENUM_LIMIT``.
     """
-    size = joint_support_size(model)
+    size = math.prod(len(pmf.mass) for pmf in model.pmfs)
     if size > ENUM_LIMIT:
         raise TooLargeError(
             f"joint demand support has {format_count(size)} vectors, "

@@ -5,10 +5,9 @@ Every error raised by the library derives from :class:`TreeVrpsdError`,
 so callers can catch one base class at an API boundary.  Rejected input
 raises :class:`ValidationError`, also a :class:`ValueError`; its message
 names the input and the check it failed.  :class:`TooLargeError` is for
-valid input over a fixed cap of exhaustive search.  Every integer input
-goes through :func:`check_int`: ``<where>: expected an integer[ >= lo |
-in lo..hi], got <value>``, the value shown in bounded length by
-:func:`describe_int`.
+valid input over a fixed cap of work.  Every integer input goes through
+:func:`check_int`: ``<where>: expected an integer[ >= lo | in lo..hi],
+got <value>``, the value shown in bounded length by :func:`describe_int`.
 """
 
 
@@ -50,8 +49,9 @@ class ValidationError(TreeVrpsdError, ValueError):
 
 
 class TooLargeError(TreeVrpsdError):
-    """Exhaustive search is over a fixed cap: ``demand.ENUM_LIMIT`` joint
-    vectors, or the partition oracle's customer count."""
+    """Work is over a fixed cap: ``demand.ENUM_LIMIT`` joint vectors, the
+    partition oracle's customer count, or ``oracle.EDGE_LB_LIMIT``
+    transform entries."""
 
 
 def check_int(value, where: str, low: int | None = None, high: int | None = None) -> int:

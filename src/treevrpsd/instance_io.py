@@ -78,8 +78,11 @@ def _require_number(value, where: str) -> float:
         raise ValidationError(f"{where}: {describe_large_int(value)}") from None
 
 
-def _check_name(name: str) -> None:
-    """Refuse a name that cannot be written as UTF-8: it holds a lone surrogate."""
+def _check_name(name) -> None:
+    """Refuse a name that is not a string, or cannot be written as UTF-8:
+    it holds a lone surrogate."""
+    if not isinstance(name, str):
+        raise ValidationError(f"name: expected a string, got {describe_int(name)}")
     try:
         name.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -147,8 +150,6 @@ def parse_document(text: str) -> InstanceDocument:
         if extra:
             parts.append(f"unknown keys {sorted(extra)}")
         raise ValidationError("; ".join(parts))
-    if not isinstance(raw["name"], str):
-        raise ValidationError(f"name: expected a string, got {describe_int(raw['name'])}")
     _check_name(raw["name"])
     capacity = check_capacity(raw["capacity"])
 
@@ -370,8 +371,10 @@ def _check_params(params: GeneratorParams) -> None:
     check_int(params.n, "n", 0)
     if params.topology not in TOPOLOGIES:
         raise ValidationError(f"topology must be one of {TOPOLOGIES}, got {describe_int(params.topology)}")
+    if not isinstance(params.pmf, str):
+        raise ValidationError(f"pmf: expected a string, got {describe_int(params.pmf)}")
     low, high = params.length_range
-    if not (isinstance(low, (int, float)) and isinstance(high, (int, float))):
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (low, high)):
         raise ValidationError(f"length_range must hold two reals, got {describe_int(params.length_range)}")
     if not 0 < low <= high <= sys.float_info.max:  # exact for ints too large for a float
         raise ValidationError(f"length_range must satisfy 0 < low <= high, got {describe_int(params.length_range)}")

@@ -16,8 +16,9 @@ transform of D_e over Z_Q, ``phi_e(k) = E[w^(k * D_e)]`` with
 pointwise product of the customers' transforms below e: one transform
 per distinct pmf, then O(Q) per edge, O(n * Q) in all.  An edge whose
 largest possible demand below is at most Q is crossed exactly twice
-and needs no transform.  Only the partition mode enumerates demand
-vectors.
+and needs no transform.  The transforms are capped at
+``EDGE_LB_LIMIT`` entries, counted before any is built.  Only the
+partition mode enumerates demand vectors.
 """
 
 from __future__ import annotations
@@ -31,11 +32,16 @@ from typing import Sequence
 from .bounds import capacity_scale, check_model, edge_crossings
 # The benchmark tracer (perfbench/tracing.py) wraps oracle.clairvoyant_edge_lb by name.
 from .bounds import clairvoyant_edge_lb  # noqa: F401
-from .demand import DemandModel, DemandPMF, enumerate_joint
+from .demand import DemandModel, DemandPMF, enumerate_joint, format_count
 from .errors import TooLargeError, ValidationError, describe_int
 from .tree import TreeInstance, check_demands
 
 PARTITION_MAX_CUSTOMERS = 10
+
+# The expected edge bound builds Q // 2 transform entries per edge that
+# needs one and per distinct pmf among those edges.  It is capped at 2^20
+# entries, about 0.6 s and 40 MB in CPython, and raises TooLargeError above.
+EDGE_LB_LIMIT = 2**20
 
 EDGE = "edge"
 PARTITION = "partition"
@@ -197,6 +203,13 @@ def _expected_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
     needed = [False] * tree.vertex_count
     for v in reversed(upward):
         needed[v] = most[v] > capacity or needed[parent[v]]
+    distinct = {id(pmf) for v, pmf in enumerate(model.pmfs, 1) if needed[v]}
+    entries = capacity // 2 * (sum(needed) + len(distinct))
+    if entries > EDGE_LB_LIMIT:
+        raise TooLargeError(
+            f"expected edge bound needs {format_count(entries)} transform entries, "
+            f"over the limit {format_count(EDGE_LB_LIMIT)}"
+        )
 
     coefficients = _shortfall_coefficients(capacity) if any(needed) else []
     # 2*len*E[D + (-D) mod Q] can pass the largest float where the term,
@@ -236,8 +249,9 @@ def expected_clairvoyant_lb(
     """Expectation of a per-realization clairvoyant lower bound.
 
     ``edge`` mode is the closed-form expectation of the edge-crossing
-    bound, valid for both delivery policies; it enumerates nothing, so
-    the enumeration limit does not apply.  ``partition`` averages the
+    bound, valid for both delivery policies; it enumerates nothing, and
+    raises ``TooLargeError`` when its transforms would hold more than
+    ``EDGE_LB_LIMIT`` entries.  ``partition`` averages the
     optimal unsplit partition cost over every joint demand vector,
     bounds unsplit policies only, and raises ``TooLargeError`` when the
     joint support exceeds the enumeration limit or the customers exceed

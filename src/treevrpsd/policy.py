@@ -100,16 +100,9 @@ class RunTrace:
         return tuple(events)
 
 
-def _check_realization(tree: TreeInstance, r: Realization) -> None:
-    q = tree.capacity
-    # One exact-type pass; the full check runs only to word an error.
-    if len(r.demands) != tree.n_customers or not all(type(d) is int and 1 <= d <= q for d in r.demands):
-        check_demands(tree, r.demands, 1, q)
-    check_int(r.initial_load, "initial load", 1, q)
-
-
 def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: str) -> RunTrace:
-    _check_realization(tree, r)
+    check_demands(tree, r.demands, 1, tree.capacity)
+    check_int(r.initial_load, "initial load", 1, tree.capacity)
     seq = tuple(order)
     check_preorder(tree, seq)
     depot_dist = tree.depot_dist

@@ -3,11 +3,11 @@
 A tree over vertices ``0..n`` is stored as parallel tuples indexed by
 vertex: ``parent[v]`` and ``edge_length[v]`` describe the unique edge
 from ``v`` up to its parent (the depot has no parent edge).  Depot
-distances, depths, the visiting order and the total edge length ``S``
-are precomputed at build time, in linear time: one pass over the edges
+distances, the visiting order and the total edge length ``S`` are
+precomputed at build time, in linear time: one pass over the edges
 checks them and fills the parent pointers, and one depth-first walk
-from the depot lists the customers in preorder and fills depths and
-depot distances, each parent before its children.  Instances are
+from the depot lists the customers in preorder and fills the depot
+distances, each parent before its children.  Instances are
 immutable afterwards and safe to share between threads.
 
 The a priori visiting order used throughout the library is that
@@ -53,8 +53,6 @@ class TreeInstance:
         instances with ``build_tree``, not by hand or ``dataclasses.replace``.
     depot_dist:
         ``depot_dist[v]`` is the path distance from the depot to ``v``.
-    depth:
-        Edge count from the depot to each vertex.
     total_edge_length:
         S, the sum of all edge lengths.
     """
@@ -65,7 +63,6 @@ class TreeInstance:
     capacity: int
     preorder: VisitOrder
     depot_dist: tuple[float, ...]
-    depth: tuple[int, ...]
     total_edge_length: float
 
     @property
@@ -101,20 +98,17 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
     # Each of 1..n appeared exactly once as a child.  The children lists fill
     # in descending order, so a stack walk from the depot pops them in
     # ascending order and lists the customers in depth-first preorder.  Each
-    # parent comes before its children, so depths and depot distances fill
-    # in the same pass.
+    # parent comes before its children, so depot distances fill in the same
+    # pass.
     kids: list[list[int]] = [[] for _ in range(n + 1)]
     for v in range(n, 0, -1):
         kids[parent[v]].append(v)
-    depth = [0] * (n + 1)
     dist = [0.0] * (n + 1)
     order: list[int] = []
     stack = kids[0]
     while stack:
         v = stack.pop()
-        p = parent[v]
-        depth[v] = depth[p] + 1
-        dist[v] = dist[p] + length[v]
+        dist[v] = dist[parent[v]] + length[v]
         order.append(v)
         stack += kids[v]
     if len(order) < n:  # the unreached vertices hang off a cycle
@@ -127,7 +121,6 @@ def build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) -> TreeIn
         capacity=capacity,
         preorder=tuple(order),
         depot_dist=tuple(dist),
-        depth=tuple(depth),
         total_edge_length=length_sum(length, n),
     )
 
@@ -182,26 +175,32 @@ def check_demands(tree: TreeInstance, demands: Sequence[int], low: int, high: in
     """Raise ``ValidationError`` unless ``demands`` holds one integer in
     ``low..high`` (no upper end when None) per customer."""
     n = tree.n_customers
+    top = math.inf if high is None else high
+    # One exact-type pass; the full check runs only to word an error.
+    if len(demands) == n and all(type(d) is int and low <= d <= top for d in demands):
+        return
     if len(demands) != n:
         raise ValidationError(f"{len(demands)} demands for {n} customers")
     for v, d in enumerate(demands, 1):
         check_int(d, f"demand of customer {v}", low, high)
 
 
-def lowest_common_ancestor(tree: TreeInstance, i: int, j: int) -> int:
+def path_distance(tree: TreeInstance, i: int, j: int) -> float:
+    """Tree shortest-path distance between vertices ``i`` and ``j``.
+
+    The two ends climb toward the depot in turn, each marking the vertices
+    it passes; the first vertex one reaches that the other has marked is
+    where the paths meet.  The climb takes steps in proportion to the
+    edges between ``i`` and ``j``, not to their depth.
+    """
     check_int(i, "vertex", 0, tree.vertex_count - 1)
     check_int(j, "vertex", 0, tree.vertex_count - 1)
-    while i != j:
-        if tree.depth[i] >= tree.depth[j]:
-            i = tree.parent[i]
-        else:
-            j = tree.parent[j]
-    return i
-
-
-def path_distance(tree: TreeInstance, i: int, j: int) -> float:
-    """Tree shortest-path distance between vertices ``i`` and ``j``."""
-    a = lowest_common_ancestor(tree, i, j)
+    a, b, marked_a, marked_b = i, j, {i}, {j}
+    while a not in marked_b:
+        if b:  # the depot climbs no further
+            b = tree.parent[b]
+            marked_b.add(b)
+        a, b, marked_a, marked_b = b, a, marked_b, marked_a
     return tree.depot_dist[i] + tree.depot_dist[j] - 2.0 * tree.depot_dist[a]
 
 

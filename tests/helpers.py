@@ -308,7 +308,8 @@ def convolution_edge_lb(tree: TreeInstance, model: DemandModel) -> float:
             dist[k % capacity] += p
         residue[v] = dist
     terms = []
-    for v in sorted(range(1, tree.vertex_count), key=lambda u: -tree.depth[u]):
+    depth = vertex_depths(tree)
+    for v in sorted(range(1, tree.vertex_count), key=lambda u: -depth[u]):
         dist = residue[v]
         shortfall = math.fsum(p * (-r % capacity) for r, p in enumerate(dist))
         terms.append(2.0 * tree.edge_length[v] * (mean[v] + shortfall) / capacity)
@@ -545,12 +546,40 @@ def itemwise_build_tree(edges: Iterable[tuple[int, int, float]], capacity: int) 
         capacity=capacity,
         preorder=stack_walk_preorder(parent),
         depot_dist=tuple(dist),
-        depth=tuple(depth),
         total_edge_length=math.fsum(length),
     )
 
 
 # -- second routes to the walk and breakpoint laws ----------------------------------
+
+def vertex_depths(tree: TreeInstance) -> tuple[int, ...]:
+    """Edge count from the depot to each vertex, by parent-chain walks that
+    stop at the first vertex already counted (the library keeps no depths)."""
+    depth = [-1] * tree.vertex_count
+    depth[0] = 0
+    for v in range(1, tree.vertex_count):
+        chain = []
+        u = v
+        while depth[u] < 0:
+            chain.append(u)
+            u = tree.parent[u]
+        for w in reversed(chain):
+            depth[w] = depth[tree.parent[w]] + 1
+    return tuple(depth)
+
+
+def depth_path_distance(tree: TreeInstance, depth: Sequence[int], i: int, j: int) -> float:
+    """Distance between ``i`` and ``j`` through the meeting vertex that
+    stepping the deeper of the two up finds, given ``vertex_depths(tree)``
+    (the library climbs both ends in turn and marks their paths instead)."""
+    a, b = i, j
+    while a != b:
+        if depth[a] >= depth[b]:
+            a = tree.parent[a]
+        else:
+            b = tree.parent[b]
+    return tree.depot_dist[i] + tree.depot_dist[j] - 2.0 * tree.depot_dist[a]
+
 
 def path_distance_legs(tree: TreeInstance, order: Sequence[int]) -> tuple[float, ...]:
     """Legs of the closed walk depot, ``order``..., depot, each priced by

@@ -22,7 +22,6 @@ from treevrpsd import (
     build_tree,
     clairvoyant_edge_lb,
     dfs_order,
-    enumerate_joint,
     exact_expected_cost,
     expected_clairvoyant_lb,
     monte_carlo_cost,
@@ -31,6 +30,7 @@ from treevrpsd import (
     trace_certificate,
 )
 from treevrpsd.cli import main
+from treevrpsd.demand import enumerate_joint
 from treevrpsd.policy import WalkGeometry
 
 from conftest import load_corpus_instance

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -984,6 +985,37 @@ def test_report_skips_the_partition_oracle_over_the_enumeration_cap(tmp_path, ca
     assert (code, stderr) == (0, "")
     rows = {row["policy"]: row for row in csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())}
     assert rows["unsplit"]["clairvoyant_lb"] == rows["unsplit"]["sharpened_ratio"] == ""
+
+
+def test_report_leaves_the_edge_bound_empty_over_its_transform_cap(tmp_path, capsys, monkeypatch):
+    # Two customers in a row, each demanding 1 or Q = 10^8: the edge bound's
+    # transforms would hold 1.5 * 10^8 entries, minutes of work.  The split
+    # row's bound cells are left empty; the unsplit row reads the partition
+    # oracle, which enumerates 4 vectors.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    capacity = 10**8
+    pmf = {"1": 0.5, str(capacity): 0.5}
+    text = json.dumps({
+        "name": "two", "capacity": capacity, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+        "demands": [{"node": v, "pmf": pmf} for v in (1, 2)],
+    })
+    (corpus / "two.json").write_text(text, encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("a transform was built over the edge bound's cap")
+
+    monkeypatch.setattr(oracle, "_transform", refuse)
+    out_csv = tmp_path / "report.csv"
+    start = time.perf_counter()
+    code, _, stderr = run_cli(capsys, "report", "--corpus-dir", str(corpus), "--out-csv", str(out_csv))
+    assert time.perf_counter() - start < 10
+    assert (code, stderr) == (0, "")
+    rows = {row["policy"]: row for row in csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines())}
+    assert rows["split"]["clairvoyant_lb"] == rows["split"]["sharpened_ratio"] == ""
+    tree, model = parse_instance(text)
+    assert float(rows["unsplit"]["clairvoyant_lb"]) == expected_clairvoyant_lb(tree, model, mode="partition")
+    assert rows["unsplit"]["sharpened_ratio"] != ""
 
 
 @pytest.mark.parametrize("spelling", ["same.csv", "./same.csv", "link.csv"])

@@ -16,15 +16,13 @@ from treevrpsd import (
     Realization,
     TooLargeError,
     ValidationError,
-    enumerate_joint,
-    joint_support_size,
     make_pmf,
     point_model,
     replication_rng,
     sample_realization,
 )
 from treevrpsd import demand
-from treevrpsd.demand import NORMALIZATION_TOL
+from treevrpsd.demand import NORMALIZATION_TOL, enumerate_joint
 from treevrpsd.instance_io import parse_pmf_spec
 
 from helpers import expectation, generate, linear_scan_realization
@@ -224,7 +222,6 @@ def test_enumerate_joint_weights_sum_to_one():
         ),
         capacity=3,
     )
-    assert joint_support_size(model) == 6
     combos = list(enumerate_joint(model))
     assert len(combos) == 6
     assert math.isclose(math.fsum(p for _, p in combos), 1.0, rel_tol=0, abs_tol=1e-12)
@@ -234,8 +231,7 @@ def test_enumerate_joint_weights_sum_to_one():
 def test_enumerate_joint_raises_eagerly_over_limit(monkeypatch):
     two = make_pmf([(1, 0.5), (2, 0.5)], capacity=2)
     model = DemandModel(pmfs=(two, two, two), capacity=2)
-    assert joint_support_size(model) == 8
-    # the call itself must raise, before the first item is drawn
+    # 2^3 = 8 joint vectors; the call itself must raise, before the first item is drawn
     monkeypatch.setattr(demand, "ENUM_LIMIT", 4)
     with pytest.raises(TooLargeError):
         enumerate_joint(model)

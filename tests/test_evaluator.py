@@ -15,7 +15,6 @@ from treevrpsd import (
     bound_set,
     build_tree,
     dfs_order,
-    enumerate_joint,
     exact_expected_cost,
     expected_clairvoyant_lb,
     make_pmf,
@@ -26,6 +25,7 @@ from treevrpsd import (
     run_unsplit,
 )
 from treevrpsd.cli import UB_REL_TOL
+from treevrpsd.demand import enumerate_joint
 from treevrpsd.instance_io import TOPOLOGIES
 from treevrpsd.policy import POLICIES
 

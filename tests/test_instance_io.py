@@ -14,6 +14,7 @@ import pytest
 from treevrpsd import (
     DemandModel,
     GeneratorParams,
+    InstanceDocument,
     ValidationError,
     build_tree,
     generate_document,
@@ -205,6 +206,8 @@ def test_serializer_matches_json_dumps_oracle():
         '{"node": 2, "pmf": {"2": Infinity, "1": -0.0}}, '
         '{"node": 3, "pmf": {"1": 1, "2": 0.0}}]}'
     ))
+    # parse_document refuses an empty pmf; a hand-built document may hold one
+    docs.append(InstanceDocument(name="empty", capacity=2, edges=((0, 1, 1.0),), demands=((1, ()),)))
     for doc in docs:
         assert serialize_document(doc) == json_dumps_serialize(doc), doc.name
 
@@ -437,7 +440,7 @@ def test_deep_path_loads_linearly_without_recursion():
         "demands": [{"node": v, "pmf": {"1": 0.5, "3": 0.5}} for v in range(1, n + 1)],
     })
     tree, model = _call_within(60, lambda: document_to_instance(parse_document(text)))
-    assert tree.depth == tuple(range(n + 1))
+    assert tree.parent == (-1, *range(n))
     running, dist = 0.0, [0.0]
     for length in lengths:
         running += length
@@ -577,6 +580,29 @@ def test_generator_validation():
                             length_range=("a", 1.0))
         )
     assert str(info.value) == "length_range must hold two reals, got ('a', 1.0)"
+
+
+@pytest.mark.parametrize("length_range", [(True, 2.0), (0.5, True)])
+def test_generator_refuses_bools_in_length_range(length_range):
+    # True is an int, and once passed as the length 1.0; reals exclude bools
+    # as integer checks do.
+    with pytest.raises(ValidationError) as info:
+        generate_document(GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
+                                          length_range=length_range))
+    assert str(info.value) == f"length_range must hold two reals, got {length_range!r}"
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("name", 5, "5"),
+    ("name", b"x" * 30, "b'xxxxxxxxxxxxxxxxxx ... (33 characters)"),
+    ("pmf", 5, "5"),
+    ("pmf", ["det:1"], "['det:1']"),
+])
+def test_generator_refuses_a_name_or_pmf_that_is_not_a_string(field, value, shown):
+    params = GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0)
+    with pytest.raises(ValidationError) as info:
+        generate_document(dataclasses.replace(params, **{field: value}))
+    assert str(info.value) == f"{field}: expected a string, got {shown}"
 
 
 def test_generator_checks_the_lengths_it_drew_against_the_loaders_limit():

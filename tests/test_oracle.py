@@ -19,7 +19,7 @@ from treevrpsd import (
     point_model,
     run_unsplit,
 )
-from treevrpsd import demand
+from treevrpsd import demand, oracle
 from treevrpsd.bounds import clairvoyant_edge_lb, tour_floor
 from treevrpsd.instance_io import GeneratorParams
 from treevrpsd.oracle import PARTITION_MAX_CUSTOMERS
@@ -245,6 +245,41 @@ def test_edge_transform_on_deep_path_matches_convolution_oracle():
     model = DemandModel(pmfs=(pmf,) * n, capacity=capacity)
     got = expected_clairvoyant_lb(tree, model, mode="edge")
     assert math.isclose(got, convolution_edge_lb(tree, model), rel_tol=1e-9)
+
+
+def _two_customer_path(capacity: int, shared: bool = True):
+    """Customers 1 and 2 in a row, each demanding 1 or Q: both edges need a
+    transform, from one pmf object or from two equal ones."""
+    tree = build_tree([(0, 1, 1.0), (1, 2, 1.0)], capacity)
+    first, second = (make_pmf([(1, 0.5), (capacity, 0.5)], capacity) for _ in range(2))
+    return tree, DemandModel(pmfs=(first, first if shared else second), capacity=capacity)
+
+
+def test_edge_bound_refuses_transforms_over_its_cap_before_building_any(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a transform was built over the cap")
+
+    monkeypatch.setattr(oracle, "_transform", refuse)
+    # two needed edges and one distinct pmf: 3 * (Q // 2) entries
+    with pytest.raises(TooLargeError) as info:
+        expected_clairvoyant_lb(*_two_customer_path(10**8), mode="edge")
+    assert str(info.value) == "expected edge bound needs 150000000 transform entries, over the limit 1048576"
+    with pytest.raises(TooLargeError) as info:
+        expected_clairvoyant_lb(*_two_customer_path(2**1023), mode="edge")
+    assert str(info.value) == "expected edge bound needs about 10^308 transform entries, over the limit 1048576"
+
+
+def test_edge_bound_cap_counts_needed_edges_and_distinct_pmfs(monkeypatch):
+    # Q = 10: 5 entries per transform; 2 edges plus 1 or 2 distinct pmfs.
+    for shared, entries in ((True, 15), (False, 20)):
+        tree, model = _two_customer_path(10, shared)
+        monkeypatch.setattr(oracle, "EDGE_LB_LIMIT", entries)
+        assert math.isclose(
+            expected_clairvoyant_lb(tree, model, mode="edge"), convolution_edge_lb(tree, model), rel_tol=1e-9
+        )
+        monkeypatch.setattr(oracle, "EDGE_LB_LIMIT", entries - 1)
+        with pytest.raises(TooLargeError, match=f"needs {entries} transform entries, over the limit {entries - 1}$"):
+            expected_clairvoyant_lb(tree, model, mode="edge")
 
 
 def test_edge_bound_is_tour_floor_when_capacity_covers_all_demand():

@@ -409,10 +409,7 @@ def test_traces_make_no_path_distance_calls_on_deep_path(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(policy_module, "path_distance", counting("path_distance", policy_module.path_distance))
-    monkeypatch.setattr(
-        tree_module, "lowest_common_ancestor",
-        counting("lowest_common_ancestor", tree_module.lowest_common_ancestor),
-    )
+    monkeypatch.setattr(tree_module, "path_distance", counting("path_distance", tree_module.path_distance))
     # load 1: a deficit at every customer; load 2: an exact breakpoint at every one
     for load in (1, 2):
         for run in (run_split, run_unsplit):

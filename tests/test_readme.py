@@ -130,3 +130,13 @@ def test_readme_quotes_the_messages_the_code_raises(tmp_path, monkeypatch, raise
     assert raise_it() == message
     # README wraps lines inside a quote; compare with each line break as a space
     assert f"`{message}`" in " ".join(README.read_text(encoding="utf-8").split())
+
+
+def test_readme_counts_the_top_level_names():
+    import treevrpsd
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"`treevrpsd` exports {len(treevrpsd.__all__)} names" in text
+    assert all(hasattr(treevrpsd, name) for name in treevrpsd.__all__)
+    # joint enumeration serves the partition oracle only and stays in demand
+    assert not {"enumerate_joint", "joint_support_size"} & set(treevrpsd.__all__)

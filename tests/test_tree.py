@@ -20,16 +20,17 @@ from treevrpsd import (
     path_distance,
 )
 from treevrpsd.instance_io import TOPOLOGIES
-from treevrpsd.tree import lowest_common_ancestor
 
 from helpers import (
     brute_distances,
     closed_walk_length,
+    depth_path_distance,
     itemwise_build_tree,
     outcome,
     random_edges,
     shuffled_preorder,
     stack_walk_preorder,
+    vertex_depths,
 )
 
 PATH3 = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)]
@@ -42,7 +43,7 @@ def test_build_tree_basic_fields():
     assert tree.parent == (-1, 0, 1, 2)
     assert tree.edge_length[1:] == (1.0, 2.0, 0.5)
     assert tree.depot_dist == (0.0, 1.0, 3.0, 3.5)
-    assert tree.depth == (0, 1, 2, 3)
+    assert vertex_depths(tree) == (0, 1, 2, 3)
     assert tree.total_edge_length == 3.5
     assert tree.preorder == (1, 2, 3)
 
@@ -167,22 +168,19 @@ def test_distances_against_brute_force():
                 )
 
 
-def test_lowest_common_ancestor_matches_path_identity():
+def test_path_distance_equals_depth_meeting_vertex_formula():
+    # Bit for bit: the marking climbs and the depth walk find one meeting vertex.
     rng = random.Random(12)
-    for _ in range(30):
-        n = rng.randint(2, 15)
-        edges = random_edges(rng, n)
-        tree = build_tree(edges, capacity=2)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                a = lowest_common_ancestor(tree, i, j)
-                assert a == lowest_common_ancestor(tree, j, i)
-                # the meeting vertex lies on both depot paths
-                assert path_distance(tree, i, j) == pytest.approx(
-                    tree.depot_dist[i]
-                    + tree.depot_dist[j]
-                    - 2.0 * tree.depot_dist[a]
-                )
+    trees = [build_tree(random_edges(rng, rng.randint(2, 15)), capacity=2) for _ in range(30)]
+    # 1e20 + 1.0 rounds to 1e20: vertex 2 lies as far from the depot as its
+    # parent, so a meeting vertex found by comparing distances could be off.
+    trees.append(build_tree([(0, 1, 1e20), (1, 2, 1.0), (0, 3, 1.0)], capacity=2))
+    assert trees[-1].depot_dist[2] == trees[-1].depot_dist[1]
+    for tree in trees:
+        depth = vertex_depths(tree)
+        for i in range(tree.vertex_count):
+            for j in range(tree.vertex_count):
+                assert path_distance(tree, i, j) == depth_path_distance(tree, depth, i, j)
 
 
 def test_unknown_vertex_queries_raise():
@@ -192,7 +190,7 @@ def test_unknown_vertex_queries_raise():
     with pytest.raises(ValidationError, match=r"^vertex: expected an integer in 0\.\.3, got -1$"):
         path_distance(tree, -1, 0)
     with pytest.raises(ValidationError, match=r"^vertex: expected an integer in 0\.\.3, got 99$"):
-        lowest_common_ancestor(tree, 0, 99)
+        path_distance(tree, 0, 99)
 
 
 def test_dfs_order_prefers_lower_numbered_children():
