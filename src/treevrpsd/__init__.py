@@ -42,7 +42,6 @@ from .instance_io import (
     serialize_document,
 )
 from .oracle import (
-    PartitionSolution,
     expected_clairvoyant_lb,
     optimal_unsplit_partition,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Estimate",
     "GeneratorParams",
     "InstanceDocument",
-    "PartitionSolution",
     "Realization",
     "RunTrace",
     "TooLargeError",

@@ -205,7 +205,14 @@ def document_to_instance(doc: InstanceDocument) -> tuple[TreeInstance, DemandMod
     except ValidationError as exc:
         raise ValidationError(f"edges: {exc}") from None
     n = tree.n_customers
-    nodes = [node for node, _ in doc.demands]
+    demands = doc.demands
+    # One exact-type pass; the full check runs only to word an error.
+    if not all(type(item) is tuple and len(item) == 2 and type(item[0]) is int for item in demands):
+        for k, item in enumerate(demands):
+            if not isinstance(item, tuple) or len(item) != 2:
+                raise ValidationError(f"demands[{k}]: expected a (node, entries) pair, got {describe_int(item)}")
+            check_int(item[0], f"demands[{k}].node")
+    nodes = [node for node, _ in demands]
     if sorted(nodes) != list(range(1, n + 1)):
         raise ValidationError(
             f"demands must cover each customer 1..{n} exactly once: node {describe_non_permutation(nodes, n)}"
@@ -216,17 +223,33 @@ def document_to_instance(doc: InstanceDocument) -> tuple[TreeInstance, DemandMod
     pmf_by_entries: dict[tuple[tuple[int, float], ...], DemandPMF] = {}
     pmfs: list[DemandPMF | None] = [None] * n
     last_entries = pmf = None
-    for idx, (node, entries) in enumerate(doc.demands):
+    for idx, (node, entries) in enumerate(demands):
         if entries is not last_entries:
             last_entries = entries
-            pmf = pmf_by_entries.get(entries)
-            if pmf is None:
-                try:
+            try:
+                # The exact types parse_document gives; anything else is
+                # checked in full before it is hashed.
+                if not (type(entries) is tuple and all(
+                    type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is float
+                    for e in entries
+                )):
+                    _check_listing(entries, doc.capacity)
+                pmf = pmf_by_entries.get(entries)
+                if pmf is None:
                     pmf = pmf_by_entries[entries] = make_pmf(entries, doc.capacity)
-                except ValidationError as exc:
-                    raise ValidationError(f"demands[{idx}] (node {node}): {exc}") from None
-        pmfs[int(node) - 1] = pmf  # a hand-built document may say 2.0 or True
+            except ValidationError as exc:
+                raise ValidationError(f"demands[{idx}] (node {node}): {exc}") from None
+        pmfs[node - 1] = pmf
     return tree, DemandModel(pmfs=tuple(pmfs), capacity=doc.capacity)
+
+
+def _check_listing(entries, capacity: int) -> None:
+    """Raise ``ValidationError`` unless ``entries`` is a tuple of
+    (value, probability) pairs that ``make_pmf`` accepts; such a tuple
+    hashes."""
+    if not isinstance(entries, tuple) or not all(isinstance(e, tuple) and len(e) == 2 for e in entries):
+        raise ValidationError(f"expected a tuple of (value, probability) pairs, got {describe_int(entries)}")
+    make_pmf(entries, capacity)
 
 
 def parse_instance(text: str) -> tuple[TreeInstance, DemandModel]:
@@ -373,11 +396,15 @@ def _check_params(params: GeneratorParams) -> None:
         raise ValidationError(f"topology must be one of {TOPOLOGIES}, got {describe_int(params.topology)}")
     if not isinstance(params.pmf, str):
         raise ValidationError(f"pmf: expected a string, got {describe_int(params.pmf)}")
-    low, high = params.length_range
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (low, high)):
-        raise ValidationError(f"length_range must hold two reals, got {describe_int(params.length_range)}")
+    lengths = params.length_range
+    if not (
+        isinstance(lengths, (tuple, list)) and len(lengths) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in lengths)
+    ):
+        raise ValidationError(f"length_range must hold two reals, got {describe_int(lengths)}")
+    low, high = lengths
     if not 0 < low <= high <= sys.float_info.max:  # exact for ints too large for a float
-        raise ValidationError(f"length_range must satisfy 0 < low <= high, got {describe_int(params.length_range)}")
+        raise ValidationError(f"length_range must satisfy 0 < low <= high, got {describe_int(lengths)}")
     check_capacity(params.capacity)
     check_int(params.seed, "seed")
     if params.name is not None:

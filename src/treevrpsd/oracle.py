@@ -1,8 +1,9 @@
 """Tiny-instance brute-force references for empirical ratio checks.
 
-``optimal_unsplit_partition`` finds the cheapest way to split the
-customers into capacity-feasible groups, each served by its own tour
-along the minimal subtree spanning the group and the depot.  Any
+``optimal_unsplit_partition`` returns the cost of the cheapest way to
+split the customers into capacity-feasible groups, each served by its
+own tour along the minimal subtree spanning the group and the depot,
+as a float; the groups themselves are not kept.  Any
 unsplit execution induces such a partition, so its cost lower-bounds
 every unsplit policy on that realization; averaging over realizations
 gives a clairvoyant bound that already knows the demands.  The cheaper
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
@@ -47,16 +47,8 @@ EDGE = "edge"
 PARTITION = "partition"
 
 
-@dataclass(frozen=True)
-class PartitionSolution:
-    """Feasible grouping of customers and its two-way-subtree cost."""
-
-    groups: tuple[tuple[int, ...], ...]
-    cost: float
-
-
-def optimal_unsplit_partition(tree: TreeInstance, demands: Sequence[int]) -> PartitionSolution:
-    """Cheapest capacity-feasible partition by exhaustive search.
+def optimal_unsplit_partition(tree: TreeInstance, demands: Sequence[int]) -> float:
+    """Cost of the cheapest capacity-feasible partition, by exhaustive search.
 
     Partitions are enumerated as restricted-growth strings (each
     customer joins an existing group, in index order, or opens a new
@@ -72,19 +64,12 @@ def optimal_unsplit_partition(tree: TreeInstance, demands: Sequence[int]) -> Par
         )
     capacity = tree.capacity
     check_demands(tree, demands, 1, capacity)
-    if n == 0:
-        return PartitionSolution(groups=(), cost=0.0)
 
-    # Edge v is the edge above vertex v; path_bits[c] marks the depot
-    # path of customer c as a bitmask over edges.
+    # Edge v is the edge above vertex v; path_bits[v] marks the depot
+    # path of v as a bitmask over edges.
     path_bits = [0] * (n + 1)
-    for c in range(1, n + 1):
-        mask = 0
-        v = c
-        while v != 0:
-            mask |= 1 << (v - 1)
-            v = tree.parent[v]
-        path_bits[c] = mask
+    for v in tree.preorder:
+        path_bits[v] = path_bits[tree.parent[v]] | 1 << (v - 1)
 
     edge_weight = tree.edge_length
     fewest = sum(edge_crossings(tree, demands)[1:])  # each group crosses each of its edges once
@@ -99,59 +84,40 @@ def optimal_unsplit_partition(tree: TreeInstance, demands: Sequence[int]) -> Par
         return total
 
     best_weight = math.inf
-    best_groups: list[list[int]] | None = None
-    group_loads: list[int] = []
-    group_masks: list[int] = []
-    group_members: list[list[int]] = []
+    best_masks: list[int] = []
+    loads: list[int] = []
+    masks: list[int] = []
 
     def search(customer: int, running: float) -> None:
-        nonlocal best_weight, best_groups
+        nonlocal best_weight, best_masks
         if running >= best_weight:
             return
         if customer > n:
-            best_groups = [list(g) for g in group_members]
+            best_masks = masks[:]
             # An incumbent that meets the edge bound is optimal: prune all the rest.
-            met = sum(mask.bit_count() for mask in group_masks) == fewest
+            met = sum(mask.bit_count() for mask in masks) == fewest
             best_weight = -math.inf if met else running
             return
         q = demands[customer - 1]
         bits = path_bits[customer]
-        for g in range(len(group_members)):
-            if group_loads[g] + q > capacity:
+        for g in range(len(masks)):
+            if loads[g] + q > capacity:
                 continue
-            delta = added_weight(group_masks[g], bits)
-            group_loads[g] += q
-            saved = group_masks[g]
-            group_masks[g] |= bits
-            group_members[g].append(customer)
+            delta = added_weight(masks[g], bits)
+            loads[g] += q
+            saved = masks[g]
+            masks[g] |= bits
             search(customer + 1, running + delta)
-            group_members[g].pop()
-            group_masks[g] = saved
-            group_loads[g] -= q
-        group_loads.append(q)
-        group_masks.append(bits)
-        group_members.append([customer])
+            masks[g] = saved
+            loads[g] -= q
+        loads.append(q)
+        masks.append(bits)
         search(customer + 1, running + added_weight(0, bits))
-        group_members.pop()
-        group_masks.pop()
-        group_loads.pop()
+        masks.pop()
+        loads.pop()
 
     search(1, 0.0)
-    assert best_groups is not None  # singletons are always feasible
-    exact_cost = 2.0 * math.fsum(
-        added_weight(0, _union_bits(path_bits, group)) for group in best_groups
-    )
-    return PartitionSolution(
-        groups=tuple(tuple(g) for g in best_groups),
-        cost=exact_cost,
-    )
-
-
-def _union_bits(path_bits: Sequence[int], group: Sequence[int]) -> int:
-    mask = 0
-    for c in group:
-        mask |= path_bits[c]
-    return mask
+    return 2.0 * math.fsum(added_weight(0, mask) for mask in best_masks)
 
 
 def _transform(pmf: DemandPMF, capacity: int) -> list[complex]:
@@ -263,6 +229,6 @@ def expected_clairvoyant_lb(
     if mode != PARTITION:
         raise ValidationError(f"mode must be 'edge' or 'partition', got {describe_int(mode)}")
     return math.fsum(
-        prob * optimal_unsplit_partition(tree, q).cost
+        prob * optimal_unsplit_partition(tree, q)
         for q, prob in enumerate_joint(model)
     )

@@ -391,11 +391,30 @@ def test_model_is_filled_by_node_in_any_document_order():
     _, model = document_to_instance(shuffled)
     assert [pmf.mass for pmf in model.pmfs] == [((1, 1.0),), ((2, 1.0),), ((3, 1.0),)]
     assert document_to_instance(doc) == document_to_instance(shuffled)
-    # a hand-built document may name a node by an equal float or bool
+    # a hand-built document may not name a node by an equal float or bool
     odd = dataclasses.replace(shuffled, demands=tuple(
         (name, entries) for name, (_, entries) in zip((3.0, 2, True), shuffled.demands)
     ))
-    assert document_to_instance(odd) == document_to_instance(doc)
+    with pytest.raises(ValidationError, match=r"^demands\[0\]\.node: expected an integer, got 3\.0$"):
+        document_to_instance(odd)
+
+
+@pytest.mark.parametrize("demands, message", [
+    ((("a", ((1, 1.0),)), (2, ((1, 1.0),))), "demands[0].node: expected an integer, got 'a'"),
+    (((1, ((1, 1.0),)), (2, ((1, 1.0),)), (True, ((1, 1.0),))), "demands[2].node: expected an integer, got True"),
+    (((1, ((1, 1.0),)), (2,)), "demands[1]: expected a (node, entries) pair, got (2,)"),
+    (((1, [(1, 1.0)]), (2, ((1, 1.0),))),
+     "demands[0] (node 1): expected a tuple of (value, probability) pairs, got [(1, 1.0)]"),
+    (((1, ((1, 1.0),)), (2, ((1, [1.0]),))),
+     "demands[1] (node 2): probability for demand 1 must be a finite real, got [1.0]"),
+    (((1, ((1, 1.0),)), (2, (5,))), "demands[1] (node 2): expected a tuple of (value, probability) pairs, got (5,)"),
+], ids=["str-node", "bool-node", "not-a-pair", "list-entries", "list-probability", "bare-entry"])
+def test_hand_built_documents_refuse_bad_nodes_and_listings(demands, message):
+    # Each of these once escaped as a plain TypeError or ValueError.
+    doc = InstanceDocument(name="x", capacity=2, edges=((0, 1, 1.0), (0, 2, 1.0)), demands=demands)
+    with pytest.raises(ValidationError) as info:
+        document_to_instance(doc)
+    assert str(info.value) == message
 
 
 def test_huge_integers_are_schema_errors():
@@ -580,6 +599,14 @@ def test_generator_validation():
                             length_range=("a", 1.0))
         )
     assert str(info.value) == "length_range must hold two reals, got ('a', 1.0)"
+    # refused before it is unpacked
+    for length_range in (5, None, (1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValidationError) as info:
+            generate_document(
+                GeneratorParams(n=2, capacity=2, topology="path", pmf="det:1", seed=0,
+                                length_range=length_range)
+            )
+        assert str(info.value) == f"length_range must hold two reals, got {length_range!r}"
 
 
 @pytest.mark.parametrize("length_range", [(True, 2.0), (0.5, True)])

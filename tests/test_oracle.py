@@ -39,33 +39,24 @@ from helpers import (
 
 def test_frozen_partitions():
     e1 = build_tree([(0, 1, 1.0), (1, 2, 1.0)], capacity=2)
-    best = optimal_unsplit_partition(e1, (1, 1))
-    assert best.groups == ((1, 2),)
-    assert best.cost == 4.0
+    assert optimal_unsplit_partition(e1, (1, 1)) == 4.0
 
     e3 = build_tree([(0, 1, 1.0), (1, 2, 1.0)], capacity=3)
-    best = optimal_unsplit_partition(e3, (2, 2))
-    assert best.groups == ((1,), (2,))
-    assert best.cost == 6.0
+    assert optimal_unsplit_partition(e3, (2, 2)) == 6.0
 
     single = build_tree([(0, 1, 2.5)], capacity=4)
-    best = optimal_unsplit_partition(single, (3,))
-    assert best.groups == ((1,),)
-    assert best.cost == 5.0
+    assert optimal_unsplit_partition(single, (3,)) == 5.0
+
+    # {1, 2} together and apart both cost 4.0 on a star
+    star = build_tree([(0, 1, 1.0), (0, 2, 1.0)], capacity=2)
+    assert optimal_unsplit_partition(star, (1, 1)) == 4.0
 
 
 def test_empty_instance_partition():
     tree = build_tree([], capacity=2)
-    assert optimal_unsplit_partition(tree, ()).groups == ()
-    assert optimal_unsplit_partition(tree, ()).cost == 0.0
-
-
-def test_tie_break_returns_lexicographically_smallest():
-    # both {1,2} together and separate cost 4.0; together sorts first
-    star = build_tree([(0, 1, 1.0), (0, 2, 1.0)], capacity=2)
-    best = optimal_unsplit_partition(star, (1, 1))
-    assert best.cost == 4.0
-    assert best.groups == ((1, 2),)
+    cost = optimal_unsplit_partition(tree, ())
+    assert (type(cost), cost) == (float, 0.0)
+    assert expected_clairvoyant_lb(tree, point_model((), 2), mode="partition") == 0.0
 
 
 def test_partition_validation():
@@ -91,11 +82,7 @@ def test_partition_matches_independent_brute_force():
         demands = tuple(rng.randint(1, capacity) for _ in range(n))
         best = optimal_unsplit_partition(tree, demands)
         want = brute_optimal_partition_cost(edges, capacity, demands)
-        assert math.isclose(best.cost, want, rel_tol=1e-9, abs_tol=1e-12)
-        # groups really are a partition of 1..n within capacity
-        flat = sorted(v for group in best.groups for v in group)
-        assert flat == list(range(1, n + 1))
-        assert all(sum(demands[v - 1] for v in g) <= capacity for g in best.groups)
+        assert math.isclose(best, want, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_partition_cost_never_above_unsplit_trace():
@@ -109,8 +96,8 @@ def test_partition_cost_never_above_unsplit_trace():
         best = optimal_unsplit_partition(tree, demands)
         for load in range(1, capacity + 1):
             trace = run_unsplit(tree, order, Realization(demands, load))
-            assert best.cost <= trace.total_length + 1e-9
-        assert best.cost >= clairvoyant_edge_lb(tree, demands) - 1e-9
+            assert best <= trace.total_length + 1e-9
+        assert best >= clairvoyant_edge_lb(tree, demands) - 1e-9
 
 
 def test_partition_expectation_stops_each_search_at_the_edge_bound():

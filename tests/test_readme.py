@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from treevrpsd import (
+    InstanceDocument,
     Realization,
     ValidationError,
     bound_set,
@@ -22,6 +23,7 @@ from treevrpsd import (
     point_model,
     run_split,
 )
+from treevrpsd.instance_io import document_to_instance
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -91,6 +93,10 @@ def _utf8_error() -> str:
 E1 = str(README.parent / "corpus" / "E1.json")
 PATH2 = [(0, 1, 1.0), (1, 2, 1.0)]
 
+
+def _hand_built(*demands) -> InstanceDocument:
+    return InstanceDocument(name="x", capacity=2, edges=tuple(PATH2), demands=demands)
+
 # Each error message README quotes, and a call that raises it.
 README_ERRORS = [
     (lambda: _library_error(parse_pmf_spec, "unif:3-1", 3), "pmf spec 'unif:3-1': empty range 3-1"),
@@ -121,6 +127,10 @@ README_ERRORS = [
     (lambda: _library_error(build_tree, PATH2, "x" * 100_000),
      "capacity: expected an integer >= 1, got 'xxxxxxxxxxxxxxxxxxxx' ... (100000 characters)"),
     (_utf8_error, "not valid UTF-8: invalid start byte at byte 0"),
+    (lambda: _library_error(document_to_instance, _hand_built(("a", ((1, 1.0),)), (2, ((1, 1.0),)))),
+     "demands[0].node: expected an integer, got 'a'"),
+    (lambda: _library_error(document_to_instance, _hand_built((1, ((1, 1.0),)), (2, (5,)))),
+     "demands[1] (node 2): expected a tuple of (value, probability) pairs, got (5,)"),
 ]
 
 
