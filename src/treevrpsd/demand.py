@@ -78,12 +78,20 @@ def make_pmf(entries: Iterable[tuple[int, float]], capacity: int) -> DemandPMF:
 
     Duplicate values accumulate.  Entries with zero probability are
     dropped from the support; positive mass at 0 or outside {1..Q} is
-    rejected, as is any negative mass or a total off 1 by more than
-    ``NORMALIZATION_TOL``.
+    rejected, as is any negative mass, a total off 1 by more than
+    ``NORMALIZATION_TOL``, or an entry that is not a pair.
     """
     check_capacity(capacity)
+    try:
+        pairs = iter(entries)
+    except TypeError:
+        raise ValidationError(f"expected (value, probability) pairs, got {describe_int(entries)}") from None
     acc: dict[int, list[float]] = {}
-    for k, p in entries:
+    for entry in pairs:
+        try:
+            k, p = entry
+        except (TypeError, ValueError):
+            raise ValidationError(f"expected a (value, probability) pair, got {describe_int(entry)}") from None
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValidationError(f"demand value must be an integer, got {describe_int(k)}")
         try:

@@ -62,8 +62,10 @@ def exact_expected_cost(
           + (2/Q)*(at_last - inner)*(E[D_last] - 1)*d(0, last)
 
     For split that is ``(1 - 1/Q)*F + R``.  ``F`` and ``R`` are read from
-    ``bounds``, built unless given.  Linear in the number of customers;
-    nothing is enumerated, so there is no size limit.
+    ``bounds``, built unless given; a given ``bounds`` must be
+    ``bound_set(tree, model)`` of this same pair, which is not checked.
+    Linear in the number of customers; nothing is enumerated, so there is
+    no size limit.
     """
     _check_policy(policy)
     check_model(tree, model)

@@ -206,29 +206,25 @@ def document_to_instance(doc: InstanceDocument) -> tuple[TreeInstance, DemandMod
         raise ValidationError(f"edges: {exc}") from None
     n = tree.n_customers
     demands = doc.demands
-    # One exact-type pass; the full check runs only to word an error.
-    if not all(type(item) is tuple and len(item) == 2 and type(item[0]) is int for item in demands):
-        for k, item in enumerate(demands):
-            if not isinstance(item, tuple) or len(item) != 2:
-                raise ValidationError(f"demands[{k}]: expected a (node, entries) pair, got {describe_int(item)}")
-            check_int(item[0], f"demands[{k}].node")
-    nodes = [node for node, _ in demands]
-    if sorted(nodes) != list(range(1, n + 1)):
-        raise ValidationError(
-            f"demands must cover each customer 1..{n} exactly once: node {describe_non_permutation(nodes, n)}"
-        )
-    # Generated documents give every customer the same pmf: validate each
-    # distinct entries tuple (sorted by parse_document) once and share it.
-    # A customer given the previous customer's entries object skips the hash.
+    cover = f"demands must cover each customer 1..{n} exactly once: node"
+    # One pass in document order: exact types, a node in 1..n not yet filled,
+    # its pmf; the full checks run only to word an error.  Generated documents
+    # give every customer one pmf: each distinct entries tuple is validated
+    # once and shared, and the previous customer's entries object skips the hash.
     pmf_by_entries: dict[tuple[tuple[int, float], ...], DemandPMF] = {}
     pmfs: list[DemandPMF | None] = [None] * n
     last_entries = pmf = None
-    for idx, (node, entries) in enumerate(demands):
+    for idx, item in enumerate(demands):
+        if not (type(item) is tuple and len(item) == 2 and type(item[0]) is int):
+            if not isinstance(item, tuple) or len(item) != 2:
+                raise ValidationError(f"demands[{idx}]: expected a (node, entries) pair, got {describe_int(item)}")
+            check_int(item[0], f"demands[{idx}].node")
+        node, entries = item
+        if not 0 < node <= n or pmfs[node - 1] is not None:
+            raise ValidationError(f"{cover} {describe_non_permutation([k for k, _ in demands[:idx + 1]], n)}")
         if entries is not last_entries:
             last_entries = entries
             try:
-                # The exact types parse_document gives; anything else is
-                # checked in full before it is hashed.
                 if not (type(entries) is tuple and all(
                     type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is float
                     for e in entries
@@ -240,6 +236,8 @@ def document_to_instance(doc: InstanceDocument) -> tuple[TreeInstance, DemandMod
             except ValidationError as exc:
                 raise ValidationError(f"demands[{idx}] (node {node}): {exc}") from None
         pmfs[node - 1] = pmf
+    if len(demands) < n:
+        raise ValidationError(f"{cover} {describe_non_permutation([k for k, _ in demands], n)}")
     return tree, DemandModel(pmfs=tuple(pmfs), capacity=doc.capacity)
 
 

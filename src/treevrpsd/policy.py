@@ -33,10 +33,11 @@ Traces price a leg between consecutive stops from parent pointers: in a
 preorder the next stop's parent is the two stops' lowest common
 ancestor.  Every other move touches the depot, so a trace takes O(1)
 per event on any tree.  The one walk that applies these rules to a
-realization writes the printed trace as it goes, one formatted group of
-lines per stop, and keeps beside it only the moves' distances and the
-stock after each customer; event tuples are read back from that text on
-request.  Costs read :class:`WalkGeometry`'s prices instead.
+realization writes the printed trace as it goes, one group of lines per
+stop that formats the stop's id and each of its distances once, and
+keeps beside it only the moves' distances and the stock after each
+customer; event tuples are read back from that text on request.  Costs
+read :class:`WalkGeometry`'s prices instead.
 """
 
 from __future__ import annotations
@@ -119,59 +120,58 @@ def _execute(tree: TreeInstance, order: Sequence[int], r: Realization, policy: s
     add_move = moves.append
     post_loads: list[int] = []
     add_load = post_loads.append
-    position = 0
+    position, origin = 0, "0"  # the vehicle's vertex, and its id as printed
     load = r.initial_load
     for v in seq:
         q = demands[v - 1]
+        stop = str(v)
+        back = depot_dist[v]
         # Every move touches the depot except the walk leg from the previous
         # customer, priced as path_distance with v's parent as the common ancestor.
         if position:
-            dist = depot_dist[position] + depot_dist[v] - 2.0 * depot_dist[parent[v]]
+            dist = depot_dist[position] + back - 2.0 * depot_dist[parent[v]]
         else:
-            dist = depot_dist[v]
+            dist = back
         add_move(dist)
-        # One line group per stop.  After an exact breakpoint the vehicle
-        # heads back to the depot, to restock or, at the last stop, to end.
+        leg = repr(dist)
         if q < load:
-            add(f"MOVE {position} {v} {dist!r}\nSERVE {v} {q} {load} {load - q}\n")
+            add(f"MOVE {origin} {stop} {leg}\nSERVE {stop} {q} {load} {load - q}\n")
             load -= q
-            position = v
-        elif q == load:
-            back = depot_dist[v]
-            add_move(back)
-            add(f"MOVE {position} {v} {dist!r}\nBREAKPOINT {v} exact\nSERVE {v} {q} {q} 0\n"
-                f"MOVE {v} 0 {back!r}\n")
-            load = capacity if v != last else 0
-            position = 0
+            position, origin = v, stop
         else:
-            back = depot_dist[v]
-            shown = repr(back)
-            if split:
-                remainder = q - load
-                refill = remainder if v == last else capacity
-                add(f"MOVE {position} {v} {dist!r}\nBREAKPOINT {v} deficit\nSERVE {v} {load} {load} 0\n"
-                    f"MOVE {v} 0 {shown}\nMOVE 0 {v} {shown}\n"
-                    f"SERVE {v} {remainder} {refill} {refill - remainder}\n")
-                add_move(2.0 * back)
-                load = refill - remainder
-            elif v != last:
-                add(f"MOVE {position} {v} {dist!r}\nBREAKPOINT {v} deficit\n"
-                    f"MOVE {v} 0 {shown}\nMOVE 0 {v} {shown}\nSERVE {v} {q} {q} 0\n"
-                    f"MOVE {v} 0 {shown}\nMOVE 0 {v} {shown}\n")
-                add_move(4.0 * back)
-                load = capacity + load - q
+            # A breakpoint sends the vehicle to the depot: after an exact one to
+            # restock or, at the last stop, to end.  A leg from the depot is
+            # d(0, v), so its repr also prints the trip back.
+            shown = repr(back) if position else leg
+            if q == load:
+                add_move(back)
+                add(f"MOVE {origin} {stop} {leg}\nBREAKPOINT {stop} exact\nSERVE {stop} {q} {q} 0\n"
+                    f"MOVE {stop} 0 {shown}\n")
+                load = capacity if v != last else 0
+                position, origin = 0, "0"
             else:
-                add(f"MOVE {position} {v} {dist!r}\nBREAKPOINT {v} deficit\n"
-                    f"MOVE {v} 0 {shown}\nMOVE 0 {v} {shown}\nSERVE {v} {q} {q} 0\n")
-                add_move(2.0 * back)
-                load = 0
-            position = v
+                arrive = f"MOVE {origin} {stop} {leg}\nBREAKPOINT {stop} deficit\n"
+                trip = f"MOVE {stop} 0 {shown}\nMOVE 0 {stop} {shown}\n"
+                if split:
+                    remainder = q - load
+                    refill = remainder if v == last else capacity
+                    add(f"{arrive}SERVE {stop} {load} {load} 0\n{trip}"
+                        f"SERVE {stop} {remainder} {refill} {refill - remainder}\n")
+                    add_move(2.0 * back)
+                    load = refill - remainder
+                else:
+                    # Fetch q and deliver it; restock to Q + U - q unless the walk ends.
+                    restock = v != last
+                    add(f"{arrive}{trip}SERVE {stop} {q} {q} 0\n{trip if restock else ''}")
+                    add_move((4.0 if restock else 2.0) * back)
+                    load = capacity + load - q if restock else 0
+                position, origin = v, stop
         add_load(load)
 
     if position:
         back = depot_dist[position]
         add_move(back)
-        add(f"MOVE {position} 0 {back!r}\n")
+        add(f"MOVE {origin} 0 {back!r}\n")
 
     return RunTrace(
         policy=policy,
@@ -199,15 +199,16 @@ def format_trace(trace: RunTrace) -> str:
 
 class WalkGeometry:
     """Per-(tree, order) cost of one realization in O(n): the walk ``2 * S``
-    plus what its breakpoints add, priced in stop order.  An exact one
-    heads to the next stop ``w`` via the depot, and ``w``'s parent is the
-    two stops' common ancestor: ``reroute_extra`` is ``2*d(0, parent w)``,
-    0 at the last stop.  A deficit at ``v`` costs ``deficit_detour[policy]``,
+    plus what its breakpoints add, priced in stop order.  ``rows[policy]``
+    holds one ``(demand index, reroute, deficit)`` row per stop.  An exact
+    breakpoint heads to the next stop ``w`` via the depot, and ``w``'s
+    parent is the two stops' common ancestor: its reroute is
+    ``2*d(0, parent w)``, 0 at the last stop.  A deficit at ``v`` costs
     :data:`DEFICIT_TRIPS` round trips ``2*d(0, v)``.  Costs agree with the
     trace totals up to float accumulation.
     """
 
-    __slots__ = ("capacity", "base_length", "demand_index", "reroute_extra", "deficit_detour")
+    __slots__ = ("capacity", "base_length", "rows")
 
     def __init__(self, tree: TreeInstance, order: Sequence[int]):
         check_preorder(tree, order)
@@ -216,34 +217,34 @@ class WalkGeometry:
         parent = tree.parent
         self.capacity = tree.capacity
         self.base_length = 2.0 * tree.total_edge_length
-        self.demand_index = tuple(v - 1 for v in seq)
-        self.reroute_extra = tuple([2.0 * depot_dist[parent[w]] for w in seq[1:]] + [0.0])
+        index = [v - 1 for v in seq]
+        reroute = [2.0 * depot_dist[parent[w]] for w in seq[1:]] + [0.0]
         # Doubling is exact, so each price is one rounding of trips * 2 * d.
-        self.deficit_detour = {
-            policy: tuple([2.0 * inner * depot_dist[v] for v in seq[:-1]]
-                          + [2.0 * at_last * depot_dist[v] for v in seq[-1:]])
+        self.rows = {
+            policy: tuple(zip(index, reroute, [2.0 * inner * depot_dist[v] for v in seq[:-1]]
+                              + [2.0 * at_last * depot_dist[v] for v in seq[-1:]]))
             for policy, (inner, at_last) in DEFICIT_TRIPS.items()
         }
 
     def split_cost(self, demands: Sequence[int], initial_load: int) -> float:
-        return self._cost(self.deficit_detour[SPLIT], demands, initial_load)
+        return self._cost(self.rows[SPLIT], demands, initial_load)
 
     def unsplit_cost(self, demands: Sequence[int], initial_load: int) -> float:
-        return self._cost(self.deficit_detour[UNSPLIT], demands, initial_load)
+        return self._cost(self.rows[UNSPLIT], demands, initial_load)
 
-    def _cost(self, deficit_detour: Sequence[float], demands: Sequence[int], initial_load: int) -> float:
+    def _cost(self, rows: Sequence[tuple[int, float, float]], demands: Sequence[int], initial_load: int) -> float:
         # The stock after the final stop is never read: no last-stop test.
         capacity = self.capacity
         load = initial_load
         extra = 0.0
-        for i, di in enumerate(self.demand_index):
+        for di, reroute, deficit in rows:
             q = demands[di]
             if q < load:
                 load -= q
             elif q == load:
-                extra += self.reroute_extra[i]
+                extra += reroute
                 load = capacity
             else:
-                extra += deficit_detour[i]
+                extra += deficit
                 load = capacity - (q - load)
         return self.base_length + extra

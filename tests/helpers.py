@@ -34,6 +34,7 @@ from treevrpsd import (
     path_distance,
 )
 from treevrpsd.instance_io import document_to_instance
+from treevrpsd.policy import DEFICIT_TRIPS
 
 BREAKPOINT_LINE = re.compile(r"^BREAKPOINT (\d+) (\w+)$", re.MULTILINE)
 
@@ -596,6 +597,33 @@ def closed_walk_length(tree: TreeInstance, order: Sequence[int]) -> float:
     equals ``2 * total_edge_length`` up to float accumulation.
     """
     return math.fsum(path_distance_legs(tree, order))
+
+
+def indexed_walk_cost(tree: TreeInstance, order: Sequence[int], policy: str,
+                      demands: Sequence[int], initial_load: int) -> float:
+    """``WalkGeometry``'s cost of one realization from three parallel
+    tuples read by stop index: the same prices, the same adds in the same
+    order, so equal to ``split_cost``/``unsplit_cost`` bit for bit."""
+    seq = tuple(order)
+    depot_dist = tree.depot_dist
+    inner, at_last = DEFICIT_TRIPS[policy]
+    demand_index = tuple(v - 1 for v in seq)
+    reroute_extra = tuple([2.0 * depot_dist[tree.parent[w]] for w in seq[1:]] + [0.0])
+    deficit_detour = tuple([2.0 * inner * depot_dist[v] for v in seq[:-1]]
+                           + [2.0 * at_last * depot_dist[v] for v in seq[-1:]])
+    load = initial_load
+    extra = 0.0
+    for i, di in enumerate(demand_index):
+        q = demands[di]
+        if q < load:
+            load -= q
+        elif q == load:
+            extra += reroute_extra[i]
+            load = tree.capacity
+        else:
+            extra += deficit_detour[i]
+            load = tree.capacity - (q - load)
+    return 2.0 * tree.total_edge_length + extra
 
 
 def walk_expected_cost(tree: TreeInstance, model: DemandModel, policy: str, order: Sequence[int]) -> float:

@@ -64,6 +64,16 @@ def test_make_pmf_validation():
         with pytest.raises(ValidationError) as info:
             make_pmf([(1, p)], capacity=2)
         assert str(info.value) == f"probability for demand 1 must be a finite real, got {p!r}"
+    for entries, message in [
+        ([5], "expected a (value, probability) pair, got 5"),
+        (5, "expected (value, probability) pairs, got 5"),
+        (None, "expected (value, probability) pairs, got None"),
+        ([(1,)], "expected a (value, probability) pair, got (1,)"),
+        ([(1, 1.0, 2)], "expected a (value, probability) pair, got (1, 1.0, 2)"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            make_pmf(entries, capacity=2)
+        assert str(info.value) == message
     # tiny float error from dividing by three is within tolerance
     third = 1.0 / 3.0
     pmf = make_pmf([(1, third), (2, third), (3, third)], capacity=3)

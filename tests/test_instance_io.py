@@ -408,7 +408,14 @@ def test_model_is_filled_by_node_in_any_document_order():
     (((1, ((1, 1.0),)), (2, ((1, [1.0]),))),
      "demands[1] (node 2): probability for demand 1 must be a finite real, got [1.0]"),
     (((1, ((1, 1.0),)), (2, (5,))), "demands[1] (node 2): expected a tuple of (value, probability) pairs, got (5,)"),
-], ids=["str-node", "bool-node", "not-a-pair", "list-entries", "list-probability", "bare-entry"])
+    (((1, ((1, 1.0),)), (1, ((1, 1.0),))),
+     "demands must cover each customer 1..2 exactly once: node 1 at position 1 is outside 1..2 or repeated"),
+    (((0, ((1, 1.0),)), (2, ((1, 1.0),))),
+     "demands must cover each customer 1..2 exactly once: node 0 at position 0 is outside 1..2 or repeated"),
+    # a bad pmf before a repeated node: the first fault by position is named
+    (((1, ((3, 1.0),)), (1, ((1, 1.0),))), "demands[0] (node 1): demand 3 outside 0..2"),
+], ids=["str-node", "bool-node", "not-a-pair", "list-entries", "list-probability", "bare-entry",
+        "repeated-node", "node-outside", "first-of-two-faults"])
 def test_hand_built_documents_refuse_bad_nodes_and_listings(demands, message):
     # Each of these once escaped as a plain TypeError or ValueError.
     doc = InstanceDocument(name="x", capacity=2, edges=((0, 1, 1.0), (0, 2, 1.0)), demands=demands)

@@ -34,6 +34,7 @@ from helpers import (
     breakpoint_probability_exact,
     brute_distances,
     generate,
+    indexed_walk_cost,
     naive_policy_cost,
     naive_trace_text,
     path_distance_legs,
@@ -230,6 +231,23 @@ def test_walk_geometry_equals_trace_totals():
         )
         # the policies share one kernel and differ only in the deficit detour
         assert geometry.unsplit_cost(demands, load) >= geometry.split_cost(demands, load)
+
+
+def test_walk_geometry_rows_equal_the_indexed_loop_bit_for_bit():
+    # The reference prices each stop from three parallel tuples with the same
+    # adds in the same order, so every cost is the same float.
+    for topology in ("path", "star", "random-attachment", "caterpillar"):
+        tree, model = generate(GeneratorParams(
+            n=60, capacity=7, topology=topology, pmf="unif:1-7", seed=3, length_range=(0.1, 3.0)
+        ))
+        for order in (dfs_order(tree), shuffled_preorder(tree, random.Random(topology))):
+            geometry = WalkGeometry(tree, order)
+            for replication in range(40):
+                r = sample_realization(model, replication_rng(11, replication))
+                for policy, cost in zip(POLICIES, (geometry.split_cost, geometry.unsplit_cost)):
+                    assert cost(r.demands, r.initial_load) == indexed_walk_cost(
+                        tree, order, policy, r.demands, r.initial_load
+                    )
 
 
 def test_walk_without_breakpoints_costs_the_tour_floor(corpus_dir):
@@ -436,12 +454,25 @@ def _assert_text_matches_naive(tree, order, r, trace):
 
 
 def test_format_trace_matches_per_event_oracle(corpus_dir):
+    reached = set()
     for tree, model in _formatter_cases(corpus_dir):
         order = dfs_order(tree)
         for seed in (0, 7, 42):
             r = sample_realization(model, replication_rng(seed, 0))
             for run in (run_split, run_unsplit):
-                _assert_text_matches_naive(tree, order, r, run(tree, order, r))
+                trace = run(tree, order, r)
+                _assert_text_matches_naive(tree, order, r, trace)
+                kinds = breakpoint_kinds(trace)
+                if any(kinds.get(v) == "exact" and w in kinds for v, w in zip(order, order[1:])):
+                    reached.add((trace.policy, "breakpoint entered from the depot"))
+                if order and kinds.get(order[-1]) == "deficit":
+                    reached.add((trace.policy, "deficit at the last stop"))
+    # The merged branches' cases: a leg from the depot printed with the trip
+    # back's repr, and unsplit's deficit at the last stop.
+    assert reached == {
+        (policy, case) for policy in POLICIES
+        for case in ("breakpoint entered from the depot", "deficit at the last stop")
+    }
 
 
 def test_format_trace_matches_oracle_for_every_final_stop_kind():
